@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
 
   const bool simplifier_fired =
       sat[1].subsumed + sat[1].strengthened + sat[1].eliminated_vars +
-          sat[1].vivified + sat[1].probed_failed_lits +
-          sat[1].substituted_vars >
+          sat[1].vivified + sat[1].probed_failed_lits >
       0;
   const double wall_speedup = wall[1] > 0.0 ? wall[0] / wall[1] : 0.0;
   const double solve_speedup = solve[1] > 0.0 ? solve[0] / solve[1] : 0.0;

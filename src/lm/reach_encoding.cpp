@@ -50,7 +50,7 @@ std::uint64_t reach_session::ensure_slots(int cells) {
   const int first_new_var = solver_.num_vars();
   JANUS_CHECK(solver_.add_cnf(delta));
   // Core slot variables are referenced by every later dims group: freeze
-  // them so inprocessing never eliminates or substitutes them away.
+  // them so inprocessing never eliminates them.
   for (sat::var v = first_new_var; v < solver_.num_vars(); ++v) {
     solver_.freeze(v);
   }

@@ -246,215 +246,6 @@ void simplifier::strengthen_item(std::uint32_t idx, lit p) {
 }
 
 // --------------------------------------------------------------------------
-// Equivalent-literal substitution (SCCs of the binary implication graph)
-// --------------------------------------------------------------------------
-
-void simplifier::substitute_equivalents() {
-  const auto nn = static_cast<std::size_t>(s_.num_vars()) * 2;
-  std::vector<std::vector<std::int32_t>> adj(nn);
-  const auto add_edges = [&](const std::vector<solver::clause_ref>& list) {
-    for (const solver::clause_ref c : list) {
-      if (s_.clause_deleted(c) || s_.clause_size(c) != 2) {
-        continue;
-      }
-      const lit* cl = s_.clause_lits(c);
-      adj[static_cast<std::size_t>((~cl[0]).code())].push_back(cl[1].code());
-      adj[static_cast<std::size_t>((~cl[1]).code())].push_back(cl[0].code());
-    }
-  };
-  add_edges(s_.clauses_);
-  add_edges(s_.learnts_);
-
-  // Iterative Tarjan over the 2n literal nodes.
-  std::vector<std::int32_t> index(nn, -1);
-  std::vector<std::int32_t> low(nn, 0);
-  std::vector<std::int32_t> comp(nn, -1);
-  std::vector<std::int32_t> scc_stack;
-  std::vector<std::uint8_t> on_stack(nn, 0);
-  std::vector<std::vector<std::int32_t>> comps;
-  std::int32_t next_index = 0;
-  struct frame {
-    std::int32_t node;
-    std::size_t edge;
-  };
-  std::vector<frame> dfs;
-  for (std::size_t root = 0; root < nn; ++root) {
-    if (index[root] != -1 || adj[root].empty()) {
-      continue;  // nodes without successors cannot close a cycle from here
-    }
-    dfs.push_back({static_cast<std::int32_t>(root), 0});
-    while (!dfs.empty()) {
-      frame& f = dfs.back();
-      const std::int32_t u = f.node;
-      if (f.edge == 0) {
-        index[u] = low[u] = next_index++;
-        scc_stack.push_back(u);
-        on_stack[static_cast<std::size_t>(u)] = 1;
-      }
-      bool descended = false;
-      while (f.edge < adj[static_cast<std::size_t>(u)].size()) {
-        const std::int32_t v = adj[static_cast<std::size_t>(u)][f.edge++];
-        if (index[static_cast<std::size_t>(v)] == -1) {
-          dfs.push_back({v, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[static_cast<std::size_t>(v)] != 0) {
-          low[static_cast<std::size_t>(u)] =
-              std::min(low[static_cast<std::size_t>(u)],
-                       index[static_cast<std::size_t>(v)]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (low[static_cast<std::size_t>(u)] == index[static_cast<std::size_t>(u)]) {
-        comps.emplace_back();
-        while (true) {
-          const std::int32_t w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          comp[static_cast<std::size_t>(w)] =
-              static_cast<std::int32_t>(comps.size()) - 1;
-          comps.back().push_back(w);
-          if (w == u) {
-            break;
-          }
-        }
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        const std::int32_t parent = dfs.back().node;
-        low[static_cast<std::size_t>(parent)] =
-            std::min(low[static_cast<std::size_t>(parent)],
-                     low[static_cast<std::size_t>(u)]);
-      }
-    }
-  }
-
-  bool changed = false;
-  for (const auto& members : comps) {
-    if (members.size() < 2) {
-      continue;
-    }
-    // Representative: prefer a frozen variable (it cannot be mapped away),
-    // then the lowest variable index. Detect l ~ ¬l contradictions.
-    std::int32_t rep_code = -1;
-    for (const std::int32_t code : members) {
-      const lit l = lit::from_code(code);
-      if (comp[static_cast<std::size_t>((~l).code())] ==
-          comp[static_cast<std::size_t>(code)]) {
-        s_.ok_ = false;  // l equivalent to its own negation: unsatisfiable
-        return;
-      }
-      if (rep_code == -1) {
-        rep_code = code;
-        continue;
-      }
-      const lit r = lit::from_code(rep_code);
-      const bool lf = s_.is_frozen(l.variable());
-      const bool rf = s_.is_frozen(r.variable());
-      if ((lf && !rf) || (lf == rf && l.variable() < r.variable())) {
-        rep_code = code;
-      }
-    }
-    const lit rep = lit::from_code(rep_code);
-    for (const std::int32_t code : members) {
-      const lit m = lit::from_code(code);
-      const var v = m.variable();
-      if (v == rep.variable() || s_.is_frozen(v) || s_.is_eliminated(v)) {
-        continue;
-      }
-      if (s_.subst_[static_cast<std::size_t>(v)] != lit::make(v)) {
-        continue;  // already mapped (the mirrored SCC lists it again)
-      }
-      const lit target = m.negated() ? ~rep : rep;
-      s_.subst_[static_cast<std::size_t>(v)] = target;
-      auto& ev = s_.reconstruction_.emplace_back();
-      ev.v = v;
-      ev.equivalent = target;
-      ++s_.stats_.substituted_vars;
-      changed = true;
-    }
-  }
-  if (!changed) {
-    return;
-  }
-  rewrite_list(s_.clauses_);
-  if (s_.ok_) {
-    rewrite_list(s_.learnts_);
-  }
-}
-
-void simplifier::rewrite_list(std::vector<solver::clause_ref>& list) {
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (!s_.ok_) {
-      return;
-    }
-    const solver::clause_ref c = list[i];
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    const lit* cl = s_.clause_lits(c);
-    const std::uint32_t size = s_.clause_size(c);
-    bool touched = false;
-    for (std::uint32_t k = 0; k < size && !touched; ++k) {
-      touched = s_.subst_[static_cast<std::size_t>(cl[k].variable())] !=
-                lit::make(cl[k].variable());
-    }
-    if (!touched) {
-      continue;
-    }
-    tmp_.clear();
-    next_stamp();
-    bool drop = false;
-    for (std::uint32_t k = 0; k < size; ++k) {
-      const lit m = s_.resolve_subst(cl[k]);
-      if (is_true(s_.value(m)) || stamped(~m)) {
-        drop = true;  // satisfied, or tautological after the merge
-        break;
-      }
-      if (is_false(s_.value(m)) || stamped(m)) {
-        continue;
-      }
-      stamp(m);
-      tmp_.push_back(m);
-    }
-    if (drop) {
-      s_.remove_clause(c);
-      continue;
-    }
-    if (tmp_.empty()) {
-      s_.remove_clause(c);
-      s_.ok_ = false;
-      return;
-    }
-    if (tmp_.size() == 1) {
-      const lit u = tmp_[0];
-      s_.remove_clause(c);
-      s_.unchecked_enqueue(u, solver::cr_undef);
-      if (s_.propagate() != solver::cr_undef) {
-        s_.ok_ = false;
-        return;
-      }
-      clear_level0_reasons();
-      continue;
-    }
-    const bool learnt = s_.clause_learnt(c);
-    const std::uint32_t lbd = learnt ? s_.clause_lbd(c) : 0;
-    const float act = learnt ? s_.clause_activity(c) : 0.0F;
-    s_.remove_clause(c);
-    const solver::clause_ref fresh = s_.alloc_clause(tmp_, learnt);
-    if (learnt) {
-      s_.set_clause_lbd(fresh, lbd);
-      s_.clause_activity(fresh) = act;
-    }
-    s_.attach_clause(fresh);
-    list[i] = fresh;
-  }
-}
-
-// --------------------------------------------------------------------------
 // Bounded variable elimination (preprocessing only)
 // --------------------------------------------------------------------------
 
@@ -463,8 +254,7 @@ void simplifier::eliminate_variables() {
   std::vector<std::pair<std::uint32_t, var>> order;
   order.reserve(static_cast<std::size_t>(n));
   for (var v = 0; v < n; ++v) {
-    if (s_.frozen_[static_cast<std::size_t>(v)] != 0 || s_.var_discarded(v) ||
-        !is_undef(s_.value(v))) {
+    if (s_.is_frozen(v) || s_.is_eliminated(v) || !is_undef(s_.value(v))) {
       continue;
     }
     const std::size_t cnt =
@@ -802,10 +592,6 @@ void simplifier::preprocess() {
   if (!settle()) {
     return;
   }
-  substitute_equivalents();
-  if (!s_.ok_ || !settle()) {
-    return;
-  }
   build_occurrence();
   for (std::uint32_t i = 0; i < items_.size(); ++i) {
     push_work(i);
@@ -830,10 +616,6 @@ void simplifier::inprocess() {
   JANUS_CHECK(s_.decision_level() == 0);
   lit_stamp_.assign(static_cast<std::size_t>(s_.num_vars()) * 2, 0);
   if (!settle()) {
-    return;
-  }
-  substitute_equivalents();
-  if (!s_.ok_ || !settle()) {
     return;
   }
   build_occurrence();

@@ -2,30 +2,28 @@
 //
 // Two entry points, both invoked by solver::solve() at decision level 0:
 //
-//   * preprocess() — once per solver lifetime, before the first search:
-//     top-level cleanup, equivalent-literal substitution (SCCs of the binary
-//     implication graph), full backward subsumption with self-subsuming
-//     resolution, and bounded variable elimination (BVE). BVE runs ONLY
-//     here: a clause added after the first solve() may mention any unfrozen
-//     variable, so elimination cannot soundly repeat. Incremental sessions
-//     freeze every interface variable (activation literals, encoding
-//     variables future clause groups reference); scratch solves freeze
-//     nothing and get the full reduction.
+//   * preprocess() — once per solver lifetime, at the first inprocessing
+//     boundary: top-level cleanup, full backward subsumption with
+//     self-subsuming resolution, and bounded variable elimination (BVE).
+//     BVE runs ONLY here: a clause added after the first solve() may
+//     mention any unfrozen variable, so elimination cannot soundly repeat.
+//     Incremental sessions freeze every interface variable (activation
+//     literals, encoding variables future clause groups reference); scratch
+//     solves freeze nothing and get the full reduction.
 //
 //   * inprocess() — at restart boundaries on a conflict-count schedule:
-//     cleanup, equivalent-literal substitution, backward subsumption seeded
-//     from the clauses added since the last round, ticket-scheduled
-//     failed-literal probing on the binary implication graph, and
-//     vivification of high-LBD learned clauses.
+//     cleanup, backward subsumption seeded from the clauses added since the
+//     last round, ticket-scheduled failed-literal probing on the binary
+//     implication graph, and vivification of high-LBD learned clauses.
 //
-// Frozen variables (solver::freeze) are exempt from elimination and from
-// being substituted away, which keeps assumption literals and
-// final-conflict extraction sound; see docs/solver.md for the protocol.
+// Frozen variables (solver::freeze) are exempt from elimination, which
+// keeps assumption literals and final-conflict extraction sound; see
+// docs/solver.md for the protocol.
 //
 // A simplifier is a stack-constructed friend of the solver: persistent
-// state (frozen/eliminated flags, the substitution map, the model
-// reconstruction stack, scheduling counters) lives on the solver, while
-// this class only holds per-round scratch.
+// state (frozen/eliminated flags, the model reconstruction stack, the
+// subsumption queue, scheduling counters) lives on the solver, while this
+// class only holds per-round scratch.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +69,6 @@ class simplifier {
   void drain_subsumption();
   void backward_subsume(std::uint32_t idx);
   void strengthen_item(std::uint32_t idx, lit p);
-
-  // equivalent-literal substitution
-  void substitute_equivalents();
-  void rewrite_list(std::vector<solver::clause_ref>& list);
 
   // bounded variable elimination
   void eliminate_variables();

@@ -1,8 +1,9 @@
 #include "service/json_value.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/str.hpp"
 
 namespace janus::service {
 
@@ -333,19 +334,16 @@ class parser {
         ++pos_;
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return fail("invalid number");
-    }
-    // Out-of-range magnitudes come back as +-HUGE_VAL; JSON itself has no
-    // infinities, so reject rather than silently saturating.
-    if (!std::isfinite(parsed)) {
+    // The grammar above already holds, so the only failure left is a
+    // magnitude a double cannot hold; JSON itself has no infinities, so
+    // reject rather than silently saturating.
+    const std::optional<double> parsed =
+        parse_decimal(text_.substr(start, pos_ - start));
+    if (!parsed.has_value()) {
       return fail("number out of range");
     }
     out.k = json_value::kind::number;
-    out.number = parsed;
+    out.number = *parsed;
     return true;
   }
 

@@ -1,6 +1,8 @@
 #include "util/str.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace janus {
@@ -32,6 +34,34 @@ std::optional<int> parse_int(std::string_view token, int min, int max) {
     return -*magnitude;
   }
   return parse_count(token, min, max);
+}
+
+std::optional<double> parse_decimal(std::string_view token) {
+  // std::from_chars already refuses whitespace, '+' and hex; requiring a
+  // digit first (after an optional '-') also rules out "inf", "nan" and ".5".
+  const std::size_t lead = !token.empty() && token.front() == '-' ? 1 : 0;
+  if (token.size() <= lead || token[lead] < '0' || token[lead] > '9') {
+    return std::nullopt;
+  }
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_seconds(std::string_view token, bool allow_zero) {
+  if (token.starts_with('-')) {
+    return std::nullopt;  // even "-0": a duration carries no sign
+  }
+  const std::optional<double> value = parse_decimal(token);
+  if (!value.has_value() || *value > kMaxSeconds ||
+      (allow_zero ? *value < 0.0 : *value <= 0.0)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::vector<std::string> split_ws(std::string_view text) {

@@ -22,6 +22,23 @@ namespace janus {
 [[nodiscard]] std::optional<int> parse_int(std::string_view token, int min,
                                            int max);
 
+/// Parse a finite decimal number ("30", "-2.5", "1e3"): an optional '-',
+/// then a digit, then whatever std::from_chars reads as the rest of a
+/// number. Whitespace, '+', hex, "inf", "nan", trailing junk and
+/// out-of-range magnitudes are rejected. Locale-independent. The only place
+/// the project converts text to double (tools/check_lint.py forbids
+/// atof/strtod/stod elsewhere). nullopt on any violation.
+[[nodiscard]] std::optional<double> parse_decimal(std::string_view token);
+
+/// Largest duration parse_seconds accepts: 10^6 s, about 11.5 days.
+inline constexpr double kMaxSeconds = 1e6;
+
+/// Parse a command-line duration in seconds: a parse_decimal number without
+/// a sign, in (0, kMaxSeconds], or [0, kMaxSeconds] when `allow_zero` (for
+/// flags where 0 means "unlimited" or "none"). nullopt on any violation.
+[[nodiscard]] std::optional<double> parse_seconds(std::string_view token,
+                                                  bool allow_zero);
+
 /// Split `text` on any of the whitespace characters, dropping empty tokens.
 [[nodiscard]] std::vector<std::string> split_ws(std::string_view text);
 

@@ -1,14 +1,15 @@
 // Tests for the inprocessing engine (sat/simplify.hpp).
 //
 // The engine rewrites the formula underneath the search — variable
-// elimination, equivalent-literal substitution, subsumption, vivification —
-// so the tests here are about *preservation*: with inprocessing on, the
+// elimination, subsumption, vivification — so the tests here are about
+// *preservation*: with inprocessing on, the
 // solver must report the same status as with it off (and as brute force),
 // models must satisfy the ORIGINAL formula (exercising model
 // reconstruction), and the frozen-variable protocol must keep assumptions
 // and conflict cores sound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "lm/encoding.hpp"
@@ -118,10 +119,13 @@ cnf pigeonhole(int holes) {
 }
 
 /// Pigeonhole with every clause guarded by one activation variable g:
-/// solve({g}) is hard UNSAT, solve({~g}) is trivially SAT. Returns g.
-var guarded_pigeonhole(cnf& f, int holes) {
+/// solve({g}) is hard UNSAT, solve({~g}) is trivially SAT. Returns g. With
+/// `amo_guard` set, the at-most-one clauses take that guard instead, so
+/// only solve({g, amo_guard}) is UNSAT.
+var guarded_pigeonhole(cnf& f, int holes, var amo_guard = var_undef) {
   const var g = f.new_var();
   const lit guard = ~lit::make(g);
+  const lit amo = amo_guard == var_undef ? guard : ~lit::make(amo_guard);
   const int pigeons = holes + 1;
   std::vector<std::vector<lit>> in(static_cast<std::size_t>(pigeons));
   for (int p = 0; p < pigeons; ++p) {
@@ -136,7 +140,7 @@ var guarded_pigeonhole(cnf& f, int holes) {
     for (int p1 = 0; p1 < pigeons; ++p1) {
       for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
         f.add_clause(
-            {guard,
+            {amo,
              ~in[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)],
              ~in[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)]});
       }
@@ -161,7 +165,7 @@ TEST(Simplify, RandomCnfAgreesWithBruteForceAndRebuildsModels) {
     ASSERT_EQ(res == solve_result::sat, expected) << "iter " << iter;
     if (res == solve_result::sat) {
       // The model must satisfy the ORIGINAL clauses, including every
-      // variable that elimination or substitution removed from the search.
+      // variable that elimination removed from the search.
       ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
     }
   }
@@ -359,74 +363,55 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalent-literal substitution
+// Final-conflict cores
 // ---------------------------------------------------------------------------
 
-TEST(Simplify, EquivalenceChainsRoundTripThroughModels) {
-  rng r(555);
-  for (int iter = 0; iter < 120; ++iter) {
-    const int nv = 6 + static_cast<int>(r.next_below(6));
-    cnf f = random_cnf(r, nv);
-    // Plant equivalence cycles: a -> b -> c -> a (as binary clauses), some
-    // with negated links, so the SCC pass has something to collapse.
-    const int chains = 1 + static_cast<int>(r.next_below(2));
-    for (int c = 0; c < chains; ++c) {
-      std::vector<lit> cycle;
-      const int len = 2 + static_cast<int>(r.next_below(3));
-      for (int k = 0; k < len; ++k) {
-        cycle.push_back(lit::make(
-            static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
-            r.next_bool()));
-      }
-      for (int k = 0; k < len; ++k) {
-        const lit from = cycle[static_cast<std::size_t>(k)];
-        const lit to = cycle[static_cast<std::size_t>((k + 1) % len)];
-        f.add_binary(~from, to);  // from -> to
-      }
-    }
-    solver s(inprocessing_options());
-    s.add_cnf(f);
-    const solve_result res = s.solve();
-    ASSERT_EQ(res == solve_result::sat, brute_force_sat(f)) << "iter " << iter;
-    if (res == solve_result::sat) {
-      ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
-    }
-  }
-}
-
-TEST(Simplify, SubstitutedVariablesRemainLegalAssumptions) {
-  // b is substituted by a (they are equivalent); assuming b afterwards must
-  // still work, in both polarities, with sound cores. Only a is frozen:
-  // representative selection prefers frozen variables, so b maps onto a and
-  // a survives elimination — the shape lm_session relies on.
+TEST(Simplify, ConflictCoreStaysWithinAssumptionsAfterInprocessing) {
+  // Assumptions reach the search exactly as passed, and the final conflict
+  // is reported without translation; it must still name only negated
+  // caller assumptions once BVE and vivification have rewritten the formula
+  // underneath. The refutation needs both g and h, so the core is traced
+  // back through the assumption levels rather than read off a level-0 unit.
   cnf f;
-  const var a = f.new_var();
-  const var b = f.new_var();
-  const var c = f.new_var();
-  f.add_binary(~lit::make(a), lit::make(b));  // a -> b
-  f.add_binary(~lit::make(b), lit::make(a));  // b -> a
-  f.add_binary(lit::make(a), lit::make(c));   // keep everything connected
-  f.add_binary(lit::make(b), ~lit::make(c));
+  const var h = f.new_var();
+  const var g = guarded_pigeonhole(f, 6, h);
+  const var x = f.new_var();
+  const var y = f.new_var();
+  // Satisfiable side constraints through a helper only BVE touches: it is
+  // never assumed, so elimination resolves it away into (x | y).
+  const var helper = f.new_var();
+  f.add_binary(lit::make(x), lit::make(helper));
+  f.add_binary(~lit::make(helper), lit::make(y));
 
   solver_options o = inprocessing_options();
-  o.preprocess_delay = 0;  // this formula solves conflict-free: preprocess
-                           // at the first restart boundary, before search
+  o.preprocess_delay = 0;  // preprocess (BVE) before any search
   solver s(o);
   ASSERT_TRUE(s.add_cnf(f));
-  s.freeze(a);
-  ASSERT_EQ(s.solve(), solve_result::sat);
-  ASSERT_GT(s.stats().substituted_vars, 0u);
 
-  ASSERT_EQ(s.solve({{lit::make(b)}}), solve_result::sat);
-  EXPECT_EQ(s.model_value(lit::make(b)), lbool::true_value);
-  EXPECT_EQ(s.model_value(lit::make(a)), lbool::true_value);
-
-  ASSERT_EQ(s.solve({{~lit::make(b)}}), solve_result::unsat);
-  ASSERT_FALSE(s.conflict_core().empty());
-  for (const lit l : s.conflict_core()) {
-    EXPECT_EQ(l, lit::make(b));
+  const std::vector<std::vector<lit>> calls = {
+      {lit::make(x), lit::make(g), ~lit::make(y), lit::make(h)},
+      {lit::make(h), ~lit::make(y), lit::make(x), lit::make(g)},
+      {lit::make(g), lit::make(h)},
+  };
+  for (const std::vector<lit>& assumptions : calls) {
+    ASSERT_EQ(s.solve(assumptions), solve_result::unsat);
+    EXPECT_TRUE(s.okay());
+    const std::vector<lit>& core = s.conflict_core();
+    // The formula is satisfiable without g or without h, so the core must
+    // name both.
+    EXPECT_NE(std::find(core.begin(), core.end(), ~lit::make(g)), core.end());
+    EXPECT_NE(std::find(core.begin(), core.end(), ~lit::make(h)), core.end());
+    for (const lit l : core) {
+      EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), ~l),
+                assumptions.end())
+          << "core literal is not a negated assumption";
+    }
   }
-  EXPECT_TRUE(s.okay());
+  EXPECT_GT(s.stats().eliminated_vars, 0u);
+  EXPECT_GT(s.stats().vivified, 0u);
+
+  ASSERT_EQ(s.solve({{~lit::make(g), lit::make(x)}}), solve_result::sat);
+  EXPECT_TRUE(model_satisfies(s, f));
 }
 
 // ---------------------------------------------------------------------------

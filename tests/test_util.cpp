@@ -203,6 +203,44 @@ TEST(Str, FormatFixed) {
   EXPECT_EQ(format_fixed(2.0, 1), "2.0");
 }
 
+TEST(Str, ParseDecimalAcceptsJsonStyleNumbers) {
+  EXPECT_EQ(parse_decimal("30"), 30.0);
+  EXPECT_EQ(parse_decimal("0.5"), 0.5);
+  EXPECT_EQ(parse_decimal("-2.25"), -2.25);
+  EXPECT_EQ(parse_decimal("1e3"), 1000.0);
+  EXPECT_EQ(parse_decimal("2.5E-1"), 0.25);
+  EXPECT_EQ(parse_decimal("007"), 7.0);
+}
+
+TEST(Str, ParseDecimalRejectsGarbage) {
+  for (const char* bad :
+       {"", "abc", "-", ".5", "1e", "1e+", "+1", " 1", "1 ", "1x", "0x10",
+        "inf", "-inf", "nan", "NaN", "1,5", "1..2", "--1", "1e400", "-1e400"}) {
+    EXPECT_FALSE(parse_decimal(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Str, ParseSecondsHonorsTheFlagRange) {
+  EXPECT_EQ(parse_seconds("30", false), 30.0);
+  EXPECT_EQ(parse_seconds("0.25", false), 0.25);
+  EXPECT_EQ(parse_seconds("1e6", false), kMaxSeconds);
+  EXPECT_EQ(parse_seconds("0", true), 0.0);
+  EXPECT_EQ(parse_seconds("0.0", true), 0.0);
+  // Zero only where the flag gives it a meaning ("unlimited", "no grace").
+  EXPECT_FALSE(parse_seconds("0", false).has_value());
+  EXPECT_FALSE(parse_seconds("0e5", false).has_value());
+  // No sign, not even on zero; nothing past the ceiling.
+  EXPECT_FALSE(parse_seconds("-1", true).has_value());
+  EXPECT_FALSE(parse_seconds("-0", true).has_value());
+  EXPECT_FALSE(parse_seconds("1000001", true).has_value());
+  EXPECT_FALSE(parse_seconds("1e7", true).has_value());
+  // The inputs std::atof silently turned into 0 (or a prefix's value).
+  for (const char* bad : {"abc", "xyz", "", "30s", "1e", "nan", "inf", " 5"}) {
+    EXPECT_FALSE(parse_seconds(bad, true).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parse_seconds(bad, false).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(Log, LevelFiltering) {
   const log_level before = get_log_level();
   set_log_level(log_level::off);

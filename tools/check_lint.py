@@ -24,10 +24,12 @@ listing every violation:
       through make_unique/make_shared/containers.
 
   R4  No std::stoi/stol/stoll/atoi/atol/atoll/rand/srand in src/, tools/ or
-      bench/. The strict parsers (`src/util/str.hpp`: parse_count/parse_int)
-      and the project RNG (`src/util/rng.hpp`) replace them; atoi maps
-      garbage to 0 silently, stoi accepts trailing junk, rand() is
-      per-process hidden state.
+      bench/, and no atof/strtod/stod (or their float/long double siblings)
+      outside src/util/str.cpp. The strict parsers (`src/util/str.hpp`:
+      parse_count/parse_int/parse_decimal/parse_seconds) and the project RNG
+      (`src/util/rng.hpp`) replace them; atoi and atof map garbage to 0
+      silently, stoi and stod accept trailing junk, rand() is per-process
+      hidden state.
 
   R5  Every bench main that emits a BENCH_* JSON document opens it through
       `bench/bench_args.hpp`:bench_json_header, so all documents share one
@@ -76,6 +78,11 @@ BANNED_CALL_RE = re.compile(
     r"(?:std::)?\b(stoi|stol|stoll|stoul|stoull|atoi|atol|atoll|srand)\s*\("
     r"|std::rand\s*\(|\brand\s*\(\s*\)"
 )
+# R4, text-to-double: only the strict parsers in src/util/str.cpp convert.
+BANNED_FLOAT_RE = re.compile(
+    r"(?:std::)?\b(atof|strtod|strtof|strtold|stod|stof|stold)\s*\("
+)
+R4_FLOAT_WHITELIST = {"src/util/str.cpp"}
 
 R5_WHITELIST = {"bench/bench_sat.cpp", "bench/bench_table1.cpp"}
 
@@ -175,6 +182,12 @@ def check_banned_calls(rel: str, text: str) -> list[str]:
             errors.append(
                 f"{rel}:{line_no}: R4 {what}() — use parse_count/parse_int "
                 "(src/util/str.hpp) or the project RNG (src/util/rng.hpp)"
+            )
+        m = BANNED_FLOAT_RE.search(line)
+        if m and rel not in R4_FLOAT_WHITELIST:
+            errors.append(
+                f"{rel}:{line_no}: R4 {m.group(1)}() — use "
+                "parse_decimal/parse_seconds (src/util/str.hpp)"
             )
     return errors
 
@@ -326,6 +339,41 @@ SELF_TEST_FIXTURES = [
         check_banned_calls,
         "tools/fixture.cpp",
         "auto n = janus::parse_count(argv[1], 0, 9);\n",
+        False,
+    ),
+    (
+        "std::atof",
+        check_banned_calls,
+        "tools/fixture.cpp",
+        "double t = std::atof(argv[1]);\n",
+        True,
+    ),
+    (
+        "strtod",
+        check_banned_calls,
+        "src/service/fixture.cpp",
+        "double v = strtod(token.c_str(), &end);\n",
+        True,
+    ),
+    (
+        "std::stod",
+        check_banned_calls,
+        "bench/fixture.cpp",
+        "double v = std::stod(text);\n",
+        True,
+    ),
+    (
+        "strtod inside the strict parsers' file",
+        check_banned_calls,
+        "src/util/str.cpp",
+        "double v = std::strtod(buf, &end);\n",
+        False,
+    ),
+    (
+        "parse_seconds is fine",
+        check_banned_calls,
+        "tools/fixture.cpp",
+        "auto s = janus::parse_seconds(argv[1], false);\n",
         False,
     ),
     (

@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,12 +142,11 @@ void print_solver_stats(const janus::sat::solver_stats& s) {
       "        %llu learned, %llu removed, %llu minimized lits\n"
       "        inprocessing: %llu subsumed, %llu strengthened, "
       "%llu vars eliminated,\n"
-      "        %llu vivified, %llu failed lits probed, %llu vars "
-      "substituted\n",
+      "        %llu vivified, %llu failed lits probed\n",
       u(s.conflicts), u(s.decisions), u(s.propagations), u(s.restarts),
       u(s.learned_clauses), u(s.removed_clauses), u(s.minimized_literals),
       u(s.subsumed), u(s.strengthened), u(s.eliminated_vars), u(s.vivified),
-      u(s.probed_failed_lits), u(s.substituted_vars));
+      u(s.probed_failed_lits));
 }
 
 /// The command's solution store: loads `--cache FILE` on construction when
@@ -573,14 +573,16 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "-t") {
+    if (arg == "-t" || arg == "-s") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.time_limit = std::atof(v);
-    } else if (arg == "-s") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.sat_limit = std::atof(v);
+      const std::optional<double> seconds =
+          v == nullptr ? std::nullopt : janus::parse_seconds(v, false);
+      if (!seconds.has_value()) {
+        std::fprintf(stderr, "janus: %s needs seconds in (0, 1e6]\n",
+                     arg.c_str());
+        return usage();
+      }
+      (arg == "-t" ? cfg.time_limit : cfg.sat_limit) = *seconds;
     } else if (arg == "-j" || arg == "--jobs") {
       const char* v = next();
       if (v == nullptr) return usage();

@@ -112,13 +112,12 @@ int main(int argc, char** argv) {
       options.max_cases = *value;
     } else if (arg == "--budget-seconds") {
       const char* text = next();
-      if (text == nullptr) {
+      const std::optional<double> seconds =
+          text == nullptr ? std::nullopt : janus::parse_seconds(text, false);
+      if (!seconds.has_value()) {
         return usage();
       }
-      options.budget_seconds = std::atof(text);
-      if (options.budget_seconds <= 0.0) {
-        return usage();
-      }
+      options.budget_seconds = *seconds;
     } else if (arg == "--seed") {
       const auto value = parse_u64_arg(next());
       if (!value) {

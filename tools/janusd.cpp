@@ -67,6 +67,17 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  // Strict parse: atof turns garbage into 0 s, which for --default-deadline
+  // silently means "unlimited".
+  const auto need_seconds = [&](int i, bool allow_zero) {
+    const auto s = janus::parse_seconds(need_value(i), allow_zero);
+    if (!s.has_value()) {
+      std::fprintf(stderr, "janusd: %s needs seconds in %s0, 1e6]\n", argv[i],
+                   allow_zero ? "[" : "(");
+      std::exit(2);
+    }
+    return *s;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--socket") {
@@ -89,11 +100,11 @@ int main(int argc, char** argv) {
       }
       cfg.queue_capacity = static_cast<std::size_t>(*n);
     } else if (arg == "--default-deadline") {
-      cfg.default_deadline_s = std::atof(need_value(i++));
+      cfg.default_deadline_s = need_seconds(i++, /*allow_zero=*/true);
     } else if (arg == "--drain-grace") {
-      cfg.drain_grace_s = std::atof(need_value(i++));
+      cfg.drain_grace_s = need_seconds(i++, /*allow_zero=*/true);
     } else if (arg == "--time-limit") {
-      cfg.time_limit_s = std::atof(need_value(i++));
+      cfg.time_limit_s = need_seconds(i++, /*allow_zero=*/false);
     } else if (arg == "--verbose") {
       cfg.verbose = true;
     } else if (arg == "-h" || arg == "--help") {
