@@ -1,6 +1,7 @@
 #include "lm/encoding.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -332,6 +333,47 @@ void lm_emitter::emit_strict_rules() {
   }
 }
 
+void lm_emitter::emit_symmetry_breaking() {
+  // Each reflection σ is an involution on the cells, so X ≤lex σ(X) needs
+  // only the positions of cells with cell < σ(cell): a fixed cell compares
+  // with itself, and a cell past its image repeats an earlier comparison
+  // once the prefix is equal. Chain auxiliary e_k means "equal through bit
+  // k"; e_{k-1} → x ≤ y, and e_{k-1} ∧ (x = y) → e_k given x ≤ y.
+  const lattice::dims& d = info_->d;
+  std::vector<sat::lit> clause;
+  for (const auto& [flip_rows, flip_cols] :
+       {std::pair{false, true}, std::pair{true, false}, std::pair{true, true}}) {
+    sat::lit equal_so_far = sat::lit_undef;  // the first bit is unconditional
+    const auto add_chained = [&](sat::lit a, sat::lit b) {
+      clause.clear();
+      if (equal_so_far != sat::lit_undef) {
+        clause.push_back(~equal_so_far);
+      }
+      clause.push_back(a);
+      clause.push_back(b);
+      add(clause);
+    };
+    for (int cell = 0; cell < d.size(); ++cell) {
+      const int row = d.row_of(cell);
+      const int col = d.col_of(cell);
+      const int image = d.cell(flip_rows ? d.rows - 1 - row : row,
+                               flip_cols ? d.cols - 1 - col : col);
+      if (image <= cell) {
+        continue;
+      }
+      for (std::size_t j = 0; j < tl_.size(); ++j) {
+        const sat::lit x = layout_.map_lit(cell, j);
+        const sat::lit y = layout_.map_lit(image, j);
+        const sat::lit equal = sat::lit::make(out_.new_var());
+        add_chained(~x, y);
+        add_chained(y, equal);
+        add_chained(~x, equal);
+        equal_so_far = equal;
+      }
+    }
+  }
+}
+
 void lm_emitter::emit_rules() {
   if (options_.strict_product_rules) {
     emit_strict_rules();
@@ -388,6 +430,7 @@ void lm_encoder::build() {
   for (std::uint64_t e = 0; e < entries; ++e) {
     emitter.emit_entry(e, side_function.get(e));
   }
+  emitter.emit_symmetry_breaking();
   emitter.emit_rules();
 
   stats_ = emitter.stats();

@@ -14,15 +14,20 @@
 //      consecutive row boundary);
 //   3. degree rules: products of maximal degree must be realized by
 //      maximal-length paths; products with more than `long_product_threshold`
-//      literals by paths longer than the threshold.
+//      literals by paths longer than the threshold;
+//   4. reflection symmetry breaking (not in the paper): groups 2 and 3 are
+//      invariant under the left–right flip, the top–bottom flip and both
+//      together, so only mappings whose wiring vector is lex-minimal over
+//      those images are kept (docs/encoding.md gives the argument).
 //
 // The constraint families split along a line the incremental session
 // (lm_session.hpp) exploits: group 1 depends only on the target and the cell
 // COUNT — not on lattice geometry — so it forms a *shared core* that one
-// persistent solver keeps across the whole dichotomic ladder. Groups 2 and 3
-// depend on the path structure of one concrete dims and are emitted with an
-// activation literal prepended (a → clause), so a single solver holds many
-// dimension groups and activates exactly one per solve(assumptions) call.
+// persistent solver keeps across the whole dichotomic ladder. Groups 2–4
+// depend on one concrete dims (its paths, its reflections) and are emitted
+// with an activation literal prepended (a → clause), so a single solver
+// holds many dimension groups and activates exactly one per
+// solve(assumptions) call; group 4 shares group 2's activation.
 // The scratch encoder (lm_encoder) emits the same families unguarded into a
 // standalone CNF. Both drive the shared `lm_emitter` below, so the clause
 // shapes cannot drift apart.
@@ -137,6 +142,11 @@ class lm_emitter {
   void emit_entry(std::uint64_t entry, bool target_value);
   /// Degree rules or strict [6]-approx rules, per the active options.
   void emit_rules();
+  /// Lex-leader clauses X ≤lex σ(X) for the three non-identity reflections
+  /// σ of the lattice, X being the mapping variables in row-major cell order
+  /// (TL index ascending within a cell). Sound because every family above
+  /// maps onto itself under σ; no verdict changes.
+  void emit_symmetry_breaking();
 
   /// Emit one clause under the current activation (the single guard
   /// implementation — encoding extensions such as the reachability session

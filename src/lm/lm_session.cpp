@@ -76,7 +76,10 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     }
 
     // The dims group: path constraints and rule clauses, each family behind
-    // its own activation literal so UNSAT cores can tell them apart.
+    // its own activation literal so UNSAT cores can tell them apart. The
+    // symmetry-breaking clauses ride on `structure`: they keep a model of
+    // every satisfiable rule-free group, so a core without ~rules still
+    // proves the rule-free encoding UNSAT.
     const bf::truth_table& side_function =
         dual_side_ ? target_.dual_function() : target_.function();
     group.structure = sat::lit::make(delta.new_var());
@@ -85,6 +88,7 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     for (std::uint64_t e = 0; e < entries_; ++e) {
       emitter.emit_entry(e, side_function.get(e));
     }
+    emitter.emit_symmetry_breaking();
     emitter.set_activation(group.rules);
     emitter.emit_rules();
 

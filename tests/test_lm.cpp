@@ -1,7 +1,10 @@
 // Tests for the LM pipeline: structural check, the paper's path encoding, the
-// reachability encoding, dual-problem equivalence, and the designed
-// approximation behavior of the degree rules.
+// reachability encoding, dual-problem equivalence, the designed
+// approximation behavior of the degree rules, and the soundness of the
+// reflection symmetry breaking.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "lm/lm_solver.hpp"
 #include "lm/reach_encoding.hpp"
@@ -219,6 +222,203 @@ TEST(LmSolver, StrictRulesCanRejectRealizableInstances) {
   }
   EXPECT_GT(strict_rejections, 0)
       << "strict rules should be a real restriction";
+}
+
+/// One side's scratch encoding built through lm_emitter the way
+/// lm_encoder::build builds it, with the symmetry-breaking family optional
+/// (lm_encoder always emits it).
+struct side_encoding {
+  std::vector<lattice::cell_assign> tl;
+  lm_var_layout layout;
+  sat::cnf formula;
+};
+
+side_encoding encode_side(const target_spec& t, const lattice_info& info,
+                          bool dual_side, const lm_encode_options& o,
+                          bool symmetry_breaking) {
+  side_encoding out;
+  out.tl = build_target_literals(t, dual_side, o);
+  const bf::truth_table& fn = dual_side ? t.dual_function() : t.function();
+  for (int cell = 0; cell < info.d.size(); ++cell) {
+    out.layout.map_base.push_back(
+        out.formula.new_vars(static_cast<int>(out.tl.size())));
+    out.layout.val_base.push_back(
+        out.formula.new_vars(static_cast<int>(fn.num_minterms())));
+  }
+  lm_emitter emitter(t, &info, dual_side, o, out.tl, out.layout, out.formula);
+  for (int cell = 0; cell < info.d.size(); ++cell) {
+    emitter.emit_exactly_one(cell);
+    for (std::uint64_t e = 0; e < fn.num_minterms(); ++e) {
+      emitter.emit_links(cell, e);
+    }
+  }
+  for (std::uint64_t e = 0; e < fn.num_minterms(); ++e) {
+    emitter.emit_entry(e, fn.get(e));
+  }
+  if (symmetry_breaking) {
+    emitter.emit_symmetry_breaking();
+  }
+  emitter.emit_rules();
+  return out;
+}
+
+/// The three non-identity reflections of an r×c lattice, as cell maps.
+std::vector<std::vector<int>> reflections(const dims& d) {
+  std::vector<std::vector<int>> out;
+  for (const auto& [flip_rows, flip_cols] :
+       {std::pair{false, true}, std::pair{true, false}, std::pair{true, true}}) {
+    std::vector<int> image(static_cast<std::size_t>(d.size()));
+    for (int cell = 0; cell < d.size(); ++cell) {
+      const int row = d.row_of(cell);
+      const int col = d.col_of(cell);
+      image[static_cast<std::size_t>(cell)] =
+          d.cell(flip_rows ? d.rows - 1 - row : row,
+                 flip_cols ? d.cols - 1 - col : col);
+    }
+    out.push_back(std::move(image));
+  }
+  return out;
+}
+
+/// The TL index each cell is wired to in a model.
+std::vector<std::size_t> wiring_of(const sat::solver& s,
+                                   const side_encoding& enc) {
+  std::vector<std::size_t> wiring;
+  for (int cell = 0; cell < enc.layout.num_cells(); ++cell) {
+    for (std::size_t j = 0; j < enc.tl.size(); ++j) {
+      if (s.model_bool(enc.layout.map_lit(cell, j).variable())) {
+        wiring.push_back(j);
+      }
+    }
+  }
+  return wiring;
+}
+
+/// The wiring as assumptions: cell k takes wiring[k].
+std::vector<sat::lit> wiring_assumptions(const side_encoding& enc,
+                                         const std::vector<std::size_t>& w) {
+  std::vector<sat::lit> out;
+  for (int cell = 0; cell < enc.layout.num_cells(); ++cell) {
+    out.push_back(enc.layout.map_lit(cell, w[static_cast<std::size_t>(cell)]));
+  }
+  return out;
+}
+
+/// The claim behind emit_symmetry_breaking(): the encoding without it is
+/// invariant under the three reflections, on both sides, with the rules and
+/// helper facts on. Every model's wiring, reflected, must satisfy it again;
+/// and the family itself must keep at most one of a wiring and a distinct
+/// reflection of it.
+TEST(SymmetryBreaking, EncodingIsInvariantUnderReflections) {
+  lattice_info_cache cache;
+  int rejected_images = 0;
+  for (const char* text : {"ab + c", "abc + a'b'", "ab + b'c + ac'",
+                           "abcd + a'b'cd'", "ab' + cd'"}) {
+    const target_spec t = target_spec::parse(4, text);
+    for (const dims d : {dims{2, 3}, dims{3, 3}, dims{3, 4}}) {
+      const lattice_info& info = cache.get(d);
+      for (const bool dual_side : {false, true}) {
+        lm_encode_options o;  // degree rules and helper facts on
+        o.long_product_threshold = 2;  // let the long-product rule fire too
+        const side_encoding plain = encode_side(t, info, dual_side, o, false);
+        const side_encoding broken = encode_side(t, info, dual_side, o, true);
+        sat::solver enumerate;
+        sat::solver check_plain;
+        sat::solver check_broken;
+        // A top-level conflict leaves the solver answering unsat.
+        static_cast<void>(enumerate.add_cnf(plain.formula));
+        static_cast<void>(check_plain.add_cnf(plain.formula));
+        static_cast<void>(check_broken.add_cnf(broken.formula));
+        // A handful of distinct models per instance.
+        for (int model = 0; model < 4; ++model) {
+          if (enumerate.solve() != sat::solve_result::sat) {
+            break;
+          }
+          const std::vector<std::size_t> w = wiring_of(enumerate, plain);
+          ASSERT_EQ(w.size(), static_cast<std::size_t>(d.size()));
+          const bool w_kept = check_broken.solve(wiring_assumptions(
+                                  broken, w)) == sat::solve_result::sat;
+          for (const std::vector<int>& sigma : reflections(d)) {
+            std::vector<std::size_t> reflected(w.size());
+            for (std::size_t cell = 0; cell < w.size(); ++cell) {
+              reflected[cell] = w[static_cast<std::size_t>(sigma[cell])];
+            }
+            EXPECT_EQ(check_plain.solve(wiring_assumptions(plain, reflected)),
+                      sat::solve_result::sat)
+                << text << " on " << d.str() << (dual_side ? " (dual)" : "");
+            if (reflected != w) {
+              const bool image_kept =
+                  check_broken.solve(wiring_assumptions(broken, reflected)) ==
+                  sat::solve_result::sat;
+              EXPECT_FALSE(w_kept && image_kept)
+                  << text << " on " << d.str() << ": both lex orders kept";
+              rejected_images += (w_kept && image_kept) ? 0 : 1;
+            }
+          }
+          std::vector<sat::lit> block;
+          for (const sat::lit l : wiring_assumptions(plain, w)) {
+            block.push_back(~l);
+          }
+          ASSERT_TRUE(enumerate.add_clause(block));
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected_images, 0);
+}
+
+/// Symmetry breaking changes no verdict: all 3-input functions on a small
+/// grid (odd widths give a self-mirrored column and a center cell), both
+/// sides, with the complete encoding (genuine UNSAT) and the strict [6]
+/// rules (rule-induced UNSAT).
+TEST(SymmetryBreaking, VerdictsMatchTheUnbrokenEncoding) {
+  lattice_info_cache cache;
+  const lm_encode_options complete = complete_options().encode;
+  lm_encode_options strict = complete;
+  strict.strict_product_rules = true;
+  const auto verdict = [](const side_encoding& enc) {
+    sat::solver s;
+    if (!s.add_cnf(enc.formula)) {
+      return sat::solve_result::unsat;
+    }
+    return s.solve();
+  };
+  int genuine_unsat = 0;
+  int rule_induced_unsat = 0;
+  for (int bits = 1; bits < 255; ++bits) {
+    bf::truth_table f(3);
+    for (int m = 0; m < 8; ++m) {
+      f.set(static_cast<std::uint64_t>(m), ((bits >> m) & 1) != 0);
+    }
+    const target_spec t = target_spec::from_function(f);
+    for (const dims d : {dims{2, 3}, dims{3, 3}}) {
+      const lattice_info& info = cache.get(d);
+      for (const bool dual_side : {false, true}) {
+        sat::solve_result complete_verdict = sat::solve_result::unknown;
+        for (const bool use_strict : {false, true}) {
+          const lm_encode_options& o = use_strict ? strict : complete;
+          const sat::solve_result plain =
+              verdict(encode_side(t, info, dual_side, o, false));
+          const sat::solve_result broken =
+              verdict(encode_side(t, info, dual_side, o, true));
+          ASSERT_NE(plain, sat::solve_result::unknown);
+          ASSERT_EQ(plain, broken)
+              << "f=" << f.to_binary_string() << " on " << d.str()
+              << (dual_side ? " (dual)" : "")
+              << (use_strict ? " strict" : " complete");
+          if (!use_strict) {
+            complete_verdict = plain;
+            genuine_unsat += plain == sat::solve_result::unsat ? 1 : 0;
+          } else if (plain == sat::solve_result::unsat &&
+                     complete_verdict == sat::solve_result::sat) {
+            ++rule_induced_unsat;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(genuine_unsat, 0);
+  EXPECT_GT(rule_induced_unsat, 0);
 }
 
 TEST(ReachEncoding, AgreesOnDegenerateLattices) {
