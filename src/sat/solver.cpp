@@ -584,6 +584,14 @@ void solver::reduce_learnts() {
 
 void solver::simplify_top_level() {
   JANUS_CHECK(decision_level() == 0);
+  // Only a new level-0 fact can satisfy a clause the last sweep kept: added
+  // clauses are checked against the level-0 assignment on entry, and learnt
+  // clauses hold no level-0 literal. An unchanged trail means nothing to do.
+  if (trail_.size() == sweep_trail_size_) {
+    garbage_collect_if_needed();
+    return;
+  }
+  sweep_trail_size_ = trail_.size();
   const auto sweep = [this](std::vector<clause_ref>& list) {
     std::size_t j = 0;
     for (const clause_ref c : list) {

@@ -423,6 +423,7 @@ class solver {
   std::vector<lit> trail_;
   std::vector<int> trail_lim_;
   std::size_t qhead_ = 0;
+  std::size_t sweep_trail_size_ = 0;  // level-0 trail length at the last sweep
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;

@@ -6,6 +6,7 @@
 // on structured families with known status (pigeonhole).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sat/cnf.hpp"
@@ -377,6 +378,47 @@ TEST(Solver, ReusableAfterSat) {
   EXPECT_TRUE(s.model_bool(b));
   s.add_clause({lit::make(b, true)});
   EXPECT_EQ(s.solve(), solve_result::unsat);
+}
+
+/// The level-0 sweep removes exactly the clauses a new level-0 fact
+/// satisfies; re-solves that add no level-0 fact (assumptions are not
+/// level-0 facts) remove nothing. With and without inprocessing.
+TEST(Solver, LevelZeroSweepFollowsNewFacts) {
+  for (const bool inprocess : {false, true}) {
+    solver_options o;
+    o.inprocess = inprocess;
+    solver s(o);
+    const lit a = lit::make(s.new_var());
+    const lit b = lit::make(s.new_var());
+    const lit c = lit::make(s.new_var());
+    const lit d = lit::make(s.new_var());
+    s.add_clause({a, b, c});
+    s.add_clause({a, ~b, d});
+    s.add_clause({a, c, ~d});
+    s.add_clause({b, c, d});
+    const auto removed = [&s] { return s.stats().removed_clauses; };
+
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    const std::uint64_t start = removed();
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    const std::array<lit, 1> assume_a = {a};
+    ASSERT_EQ(s.solve(assume_a), solve_result::sat);
+    EXPECT_EQ(removed(), start) << "inprocess=" << inprocess;
+
+    ASSERT_TRUE(s.add_clause({a}));
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    EXPECT_EQ(removed(), start + 3) << "inprocess=" << inprocess;
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    EXPECT_EQ(removed(), start + 3) << "inprocess=" << inprocess;
+
+    ASSERT_TRUE(s.add_clause({~b}));
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    EXPECT_EQ(removed(), start + 3) << "inprocess=" << inprocess;
+    ASSERT_TRUE(s.add_clause({d}));
+    ASSERT_EQ(s.solve(), solve_result::sat);
+    EXPECT_EQ(removed(), start + 4) << "inprocess=" << inprocess;
+    EXPECT_TRUE(s.model_bool(c.variable()) || s.model_bool(d.variable()));
+  }
 }
 
 TEST(Dimacs, RoundTrip) {
