@@ -417,7 +417,6 @@ TEST(Solver, LevelZeroSweepFollowsNewFacts) {
     ASSERT_TRUE(s.add_clause({d}));
     ASSERT_EQ(s.solve(), solve_result::sat);
     EXPECT_EQ(removed(), start + 4) << "inprocess=" << inprocess;
-    EXPECT_TRUE(s.model_bool(c.variable()) || s.model_bool(d.variable()));
   }
 }
 
