@@ -9,6 +9,12 @@ namespace janus::lm {
 
 using lattice::cell_assign;
 
+namespace {
+// Degree and strict rules stop once their path selectors would exceed this
+// many auxiliary variables (bounds encode size on long-path lattices).
+constexpr std::uint64_t kMaxRuleAuxVars = 50'000;
+}  // namespace
+
 std::vector<std::uint64_t> onset_entries(const bf::truth_table& f) {
   std::vector<std::uint64_t> out;
   for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
@@ -125,11 +131,7 @@ void lm_emitter::emit_exactly_one(int cell) {
   for (std::size_t j = 0; j < tl_.size(); ++j) {
     group[j] = layout_.map_lit(cell, j);
   }
-  if (options_.amo_sequential) {
-    out_.exactly_one_sequential(group);
-  } else {
-    out_.exactly_one(group);
-  }
+  out_.exactly_one(group);
   stats_.link_clauses += out_.num_clauses() - before;
 }
 
@@ -296,7 +298,7 @@ void lm_emitter::emit_degree_rules() {
     if (target_degree == lattice_degree && len == target_degree) {
       const auto paths = paths_with([&](int L) { return L == len; });
       aux_estimate += paths.size();
-      if (aux_estimate > options_.max_rule_aux_vars) {
+      if (aux_estimate > kMaxRuleAuxVars) {
         return;
       }
       add_realization_rule(p, paths, /*allow_one=*/false);
@@ -305,7 +307,7 @@ void lm_emitter::emit_degree_rules() {
           paths_with([&](int L) { return L > options_.long_product_threshold &&
                                          L >= len; });
       aux_estimate += paths.size();
-      if (aux_estimate > options_.max_rule_aux_vars) {
+      if (aux_estimate > kMaxRuleAuxVars) {
         return;
       }
       add_realization_rule(p, paths, /*allow_one=*/true);
@@ -326,7 +328,7 @@ void lm_emitter::emit_strict_rules() {
       }
     }
     aux_estimate += paths.size();
-    if (aux_estimate > options_.max_rule_aux_vars) {
+    if (aux_estimate > kMaxRuleAuxVars) {
       return;
     }
     add_realization_rule(p, paths, /*allow_one=*/false);
@@ -396,26 +398,31 @@ lm_encoder::lm_encoder(const target_spec& target, const lattice_info& info,
   build();
 }
 
+lm_var_layout lm_var_layout::contiguous(sat::cnf& formula, int cells,
+                                        std::size_t tl_size,
+                                        std::uint64_t entries) {
+  lm_var_layout layout;
+  const sat::var map_base = formula.new_vars(cells * static_cast<int>(tl_size));
+  const sat::var val_base = formula.new_vars(cells * static_cast<int>(entries));
+  layout.map_base.resize(static_cast<std::size_t>(cells));
+  layout.val_base.resize(static_cast<std::size_t>(cells));
+  for (int cell = 0; cell < cells; ++cell) {
+    layout.map_base[static_cast<std::size_t>(cell)] =
+        map_base + cell * static_cast<int>(tl_size);
+    layout.val_base[static_cast<std::size_t>(cell)] = val_base + cell;
+  }
+  layout.val_stride = cells;
+  return layout;
+}
+
 void lm_encoder::build() {
   tl_ = build_target_literals(target_, dual_side_, options_);
   const bf::truth_table& side_function =
       dual_side_ ? target_.dual_function() : target_.function();
 
-  // Contiguous two-block layout: all mapping vars, then all value vars
-  // (value vars entry-major: val[cell][e] = val_base + e * cells + cell).
   const int cells = info_.d.size();
   const std::uint64_t entries = side_function.num_minterms();
-  const sat::var map_base = formula_.new_vars(cells * static_cast<int>(tl_.size()));
-  const sat::var val_base =
-      formula_.new_vars(cells * static_cast<int>(entries));
-  layout_.map_base.resize(static_cast<std::size_t>(cells));
-  layout_.val_base.resize(static_cast<std::size_t>(cells));
-  for (int cell = 0; cell < cells; ++cell) {
-    layout_.map_base[static_cast<std::size_t>(cell)] =
-        map_base + cell * static_cast<int>(tl_.size());
-    layout_.val_base[static_cast<std::size_t>(cell)] = val_base + cell;
-  }
-  layout_.val_stride = cells;
+  layout_ = lm_var_layout::contiguous(formula_, cells, tl_.size(), entries);
 
   lm_emitter emitter(target_, &info_, dual_side_, options_, tl_, layout_,
                      formula_);

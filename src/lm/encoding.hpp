@@ -60,8 +60,6 @@ struct lm_encode_options {
   bool use_helper_facts = true;
   bool strict_product_rules = false;   // approx-[6] baseline behavior
   bool tl_isop_literals_only = true;   // TL from the ISOP (paper) vs all literals
-  bool amo_sequential = false;         // sequential-counter exactly-one per cell
-  std::size_t max_rule_aux_vars = 50'000;  // skip degree rules beyond this
 };
 
 /// Statistics of a built encoding (reported by the ablation bench).
@@ -87,14 +85,21 @@ struct lm_encoding_stats {
     const target_spec& target, bool dual_side,
     const lm_encode_options& options);
 
-/// Where the mv/val variables of one problem side live. The scratch encoder
-/// lays both out as two contiguous blocks; the incremental session grows one
-/// block per cell slot as the ladder demands larger lattices. The emitter
-/// addresses variables only through this table, making it layout-agnostic.
+/// Where the mv/val variables of one problem side live. The one-shot
+/// encoders lay both out as two contiguous blocks (contiguous()); the
+/// incremental session grows one block per cell slot as the ladder demands
+/// larger lattices. The emitter addresses variables only through this table,
+/// making it layout-agnostic.
 struct lm_var_layout {
   std::vector<sat::var> map_base;  ///< cell -> first of its |TL| mapping vars
   std::vector<sat::var> val_base;  ///< cell -> first of its value vars
   sat::var val_stride = 1;  ///< distance between consecutive entries of a cell
+
+  /// Allocate from `formula` all mapping vars, then all value vars, the
+  /// latter entry-major: val[cell][e] = val_base + e * cells + cell.
+  [[nodiscard]] static lm_var_layout contiguous(sat::cnf& formula, int cells,
+                                                std::size_t tl_size,
+                                                std::uint64_t entries);
 
   [[nodiscard]] sat::lit map_lit(int cell, std::size_t tl_index) const {
     return sat::lit::make(map_base[static_cast<std::size_t>(cell)] +
@@ -110,7 +115,7 @@ struct lm_var_layout {
 };
 
 /// Emits the clause families of one problem side into a cnf. Shared by the
-/// scratch encoder (no guards) and the incremental session (dims-dependent
+/// one-shot encoders (no guards) and the incremental session (dims-dependent
 /// families guarded by an activation literal): `set_activation(a)` makes
 /// every subsequently emitted clause conditional on a (the clause gets ~a
 /// prepended), so a persistent solver switches whole dimension groups on and
@@ -121,7 +126,7 @@ class lm_emitter {
  public:
   /// `info` may be null when only the geometry-free core emitters
   /// (emit_exactly_one / emit_links) will be used — the reachability
-  /// session shares the core without enumerating any path list.
+  /// encoding shares the core without enumerating any path list.
   lm_emitter(const target_spec& target, const lattice_info* info,
              bool dual_side, const lm_encode_options& options,
              const std::vector<lattice::cell_assign>& tl,
@@ -148,16 +153,13 @@ class lm_emitter {
   /// maps onto itself under σ; no verdict changes.
   void emit_symmetry_breaking();
 
-  /// Emit one clause under the current activation (the single guard
-  /// implementation — encoding extensions such as the reachability session
-  /// layer their own dims-dependent clauses through here so guard semantics
-  /// cannot drift between encodings).
-  void add(std::span<const sat::lit> lits);
-  void add(std::initializer_list<sat::lit> lits);
-
   [[nodiscard]] const lm_encoding_stats& stats() const { return stats_; }
 
  private:
+  /// Emit one clause under the current activation (the single guard
+  /// implementation).
+  void add(std::span<const sat::lit> lits);
+  void add(std::initializer_list<sat::lit> lits);
   void add_realization_rule(const bf::cube& p,
                             const std::vector<const lattice::path*>& paths,
                             bool allow_one);

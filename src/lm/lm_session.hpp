@@ -49,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,37 +60,16 @@
 
 namespace janus::lm {
 
-/// Solver configuration for LM instances: inprocessing on, EMA restarts.
+/// Solver configuration for LM instances: inprocessing on.
 /// Scratch solves freeze nothing and get the full reduction (bounded
 /// variable elimination included); sessions freeze every interface
 /// variable, so they keep the subsumption / vivification / probing rounds
-/// but skip elimination — the split docs/solver.md describes. The
-/// glucose-style restart policy measurably cooperates with the inprocessing
-/// rounds on the hard lattice instances (quality-driven restarts hit the
-/// round boundaries where simplification pays), where the Luby schedule
-/// with inprocessing regressed the UNSAT probes.
+/// but skip elimination — the split docs/solver.md describes.
 [[nodiscard]] inline sat::solver_options default_lm_solver_options() {
   sat::solver_options o;
   o.inprocess = true;
-  o.restart = sat::restart_policy::ema;
   return o;
 }
-
-/// The shared solve-side protocol of one incremental probe: apply the
-/// per-call budgets and stop flag, decide under `assumptions`, detach the
-/// stop flag again (the token may die with the call), and report the
-/// verdict with the solver-stats delta and wall time. Both lm_session and
-/// reach_session route their solves through this so the protocol cannot
-/// drift between session flavors.
-struct session_solve_outcome {
-  sat::solve_result verdict = sat::solve_result::unknown;
-  sat::solver_stats delta;
-  double seconds = 0.0;
-};
-[[nodiscard]] session_solve_outcome solve_session_step(
-    sat::solver& solver, std::span<const sat::lit> assumptions,
-    deadline budget, double sat_time_limit_s, std::int64_t conflict_budget,
-    const exec::cancel_token& stop);
 
 class lm_session {
  public:

@@ -100,10 +100,8 @@ void fill_result(lm_result& result, side_run&& run, bool dual_side,
       break;
     case sat::solve_result::sat: {
       JANUS_CHECK(run.mapping.has_value());
-      if (options.verify_model) {
-        JANUS_CHECK_MSG(run.mapping->realizes(target.function()),
-                        "SAT model fails ground-truth verification");
-      }
+      JANUS_CHECK_MSG(run.mapping->realizes(target.function()),
+                      "SAT model fails ground-truth verification");
       result.mapping = std::move(run.mapping);
       result.status = lm_status::realizable;
       break;
@@ -206,8 +204,7 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
     return result;
   }
 
-  if (options.exec.parallel() && options.race_primal_dual && primal_feasible &&
-      dual_feasible) {
+  if (options.exec.parallel() && primal_feasible && dual_feasible) {
     result = solve_lm_race(target, info, options, budget,
                            /*dual_cheaper=*/dual_estimate < primal_estimate);
   } else {

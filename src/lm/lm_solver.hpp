@@ -49,17 +49,13 @@ struct lm_options {
   double sat_time_limit_s = 1200.0;  // the paper's empirically chosen limit
   std::int64_t conflict_budget = -1;
   bool allow_dual_problem = true;
-  bool verify_model = true;  // re-check against the BFS oracle (cheap)
   /// Candidates whose cheaper side would still exceed this many clauses are
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).
   std::uint64_t max_encoding_clauses = 4'000'000;
-  /// Pool + cancellation. A null pool runs the sequential path.
+  /// Pool + cancellation. A null pool runs the sequential path; with a pool,
+  /// primal and dual race whenever both sides fit the clause budget.
   exec::context exec;
-  /// Race primal vs dual when a pool is available and both sides fit the
-  /// clause budget; turning this off keeps the sequential heuristic even
-  /// under a pool (probe-level parallelism only).
-  bool race_primal_dual = true;
   /// Incremental sessions (nullptr = scratch mode). When set, each side of a
   /// probe leases a persistent per-(target, side) solver from this pool
   /// instead of building a fresh encoder + solver, keeping learned clauses

@@ -1,4 +1,5 @@
-// Alternative LM encoding via unrolled reachability (ablation substrate).
+// Alternative LM encoding via unrolled reachability (ablation substrate and
+// the tests' independent reference for UNSAT verdicts and optima).
 //
 // Instead of enumerating irredundant paths, this encoding unrolls a BFS
 // fixpoint: reach_k[cell][e] ⇔ cell is ON at entry e and reachable from the
@@ -8,58 +9,20 @@
 // auxiliary variables — the trade the ablation bench quantifies against the
 // paper's path encoding.
 //
-// Like the path encoding, it layers on the incremental split of
-// encoding.hpp: the mapping/value core (exactly-one + link clauses over a
-// cell-slot pool) is dims-independent and shared, while the per-dims
-// reachability unrolling is guarded by an activation literal. `reach_session`
-// keeps one persistent solver across a ladder of dimensions; the one-shot
-// solve_lm_reachability below is a single-probe session.
+// The mapping/value core (exactly-one + link clauses) comes from the same
+// lm_emitter as the path encoding, so index j of the TL means the same
+// wiring in both; each call encodes one dims from scratch and solves it on a
+// fresh solver.
 #pragma once
-
-#include <map>
-#include <utility>
-#include <vector>
 
 #include "lm/lm_solver.hpp"
 
 namespace janus::lm {
 
-/// Incremental reachability solving for one target (primal view only): one
-/// persistent solver, the mapping core shared across every probed dims,
-/// per-dims unrolled-reachability constraints switched by assumptions. This
-/// encoding is complete (no heuristic rules), so every `unrealizable` answer
-/// is definitive and is reported with `definitely_unrealizable` set.
-class reach_session {
- public:
-  explicit reach_session(
-      const target_spec& target, lm_encode_options options = {},
-      sat::solver_options solver_options = default_lm_solver_options());
-
-  /// Probe one dims under the usual lm budget knobs.
-  [[nodiscard]] lm_result probe(const lattice::dims& d,
-                                const lm_options& options,
-                                deadline budget = deadline::never());
-
-  [[nodiscard]] const sat::solver& solver() const { return solver_; }
-  [[nodiscard]] std::size_t num_groups() const { return groups_.size(); }
-
- private:
-  /// Grow the shared mapping/value core to `cells` slots; returns the number
-  /// of clauses added (so probes can report core growth in their stats).
-  std::uint64_t ensure_slots(int cells);
-
-  const target_spec& target_;
-  const lm_encode_options options_;
-  std::vector<lattice::cell_assign> tl_;
-  std::uint64_t entries_ = 0;
-  sat::solver solver_;
-  lm_var_layout layout_;
-  std::map<std::pair<int, int>, sat::lit> groups_;  ///< dims -> activation
-};
-
 /// Solve the LM problem with the reachability encoding (primal view only).
-/// Statuses have the same meaning as solve_lm. One-shot: builds a fresh
-/// single-probe reach_session internally.
+/// Statuses have the same meaning as solve_lm. This encoding is complete (no
+/// heuristic rules), so every `unrealizable` answer is definitive and is
+/// reported with `definitely_unrealizable` set.
 [[nodiscard]] lm_result solve_lm_reachability(
     const target_spec& target, const lattice::dims& d,
     const lm_options& options, deadline budget = deadline::never());

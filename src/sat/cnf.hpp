@@ -59,16 +59,8 @@ class cnf {
   /// groups JANUS produces — one group per lattice cell).
   void at_most_one_pairwise(std::span<const lit> lits);
 
-  /// At most one, via a sequential counter (Sinz): n-1 auxiliary variables
-  /// and ~3n binary clauses instead of n(n-1)/2 — preferable for the large
-  /// target-literal groups of wide-support functions.
-  void at_most_one_sequential(std::span<const lit> lits);
-
   /// Exactly one of `lits` is true.
   void exactly_one(std::span<const lit> lits);
-
-  /// Exactly one, with the sequential at-most-one encoding.
-  void exactly_one_sequential(std::span<const lit> lits);
 
   /// Tseitin AND: returns t with t <-> AND(lits).
   lit add_and(std::span<const lit> lits);

@@ -13,6 +13,16 @@ inline bool is_undef(lbool v) { return v == lbool::undef; }
 // Backward subsumption skips a clause whose cheapest pivot literal still has
 // an occurrence list longer than this (quadratic blowup guard).
 constexpr std::size_t kOccScanLimit = 1000;
+
+// Bounded variable elimination: per-polarity occurrence cap, and the longest
+// resolvent it may keep.
+constexpr std::size_t kBveOccurrenceLimit = 16;
+constexpr std::size_t kBveResolventLimit = 24;
+// Work per inprocessing round: failed-literal probes, and learnt clauses
+// vivified (clauses longer than kVivifySizeLimit are skipped).
+constexpr std::size_t kProbesPerRound = 128;
+constexpr std::size_t kVivifyPerRound = 96;
+constexpr std::uint32_t kVivifySizeLimit = 48;
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -350,9 +360,7 @@ void simplifier::try_eliminate(var v) {
   if (before == 0) {
     return;
   }
-  const auto limit =
-      static_cast<std::size_t>(s_.options_.bve_occurrence_limit);
-  if (pos_.size() > limit || neg_.size() > limit) {
+  if (pos_.size() > kBveOccurrenceLimit || neg_.size() > kBveOccurrenceLimit) {
     return;
   }
   // Longest clause being removed: elimination must never produce a clause
@@ -373,9 +381,7 @@ void simplifier::try_eliminate(var v) {
       if (!resolve_pair(items_[pi].cref, items_[ni].cref, v, tmp_)) {
         continue;
       }
-      if (tmp_.size() >
-              static_cast<std::size_t>(s_.options_.bve_resolvent_limit) ||
-          tmp_.size() > max_parent_len) {
+      if (tmp_.size() > kBveResolventLimit || tmp_.size() > max_parent_len) {
         return;  // resolvent longer than what it replaces: keep the variable
       }
       resolvents_.push_back(tmp_);
@@ -462,8 +468,7 @@ void simplifier::probe_failed_literals() {
   }
   // The persistent ticket rotates the starting point so successive rounds
   // cover different parts of the graph instead of re-probing the same head.
-  const std::size_t count = std::min(
-      candidates.size(), static_cast<std::size_t>(s_.options_.probes_per_round));
+  const std::size_t count = std::min(candidates.size(), kProbesPerRound);
   for (std::size_t k = 0; k < count; ++k) {
     if (!s_.ok_ || s_.stopped_externally()) {
       break;
@@ -496,9 +501,7 @@ void simplifier::vivify_learnts() {
       continue;
     }
     const std::uint32_t size = s_.clause_size(c);
-    if (size < 3 ||
-        size > static_cast<std::uint32_t>(s_.options_.vivify_size_limit) ||
-        s_.clause_lbd(c) < 3) {
+    if (size < 3 || size > kVivifySizeLimit || s_.clause_lbd(c) < 3) {
       continue;
     }
     cands.push_back(c);
@@ -509,8 +512,7 @@ void simplifier::vivify_learnts() {
             [this](solver::clause_ref a, solver::clause_ref b) {
               return s_.clause_lbd(a) > s_.clause_lbd(b);
             });
-  const std::size_t count = std::min(
-      cands.size(), static_cast<std::size_t>(s_.options_.vivify_per_round));
+  const std::size_t count = std::min(cands.size(), kVivifyPerRound);
   std::vector<lit> lits;
   std::vector<lit> out;
   for (std::size_t i = 0; i < count; ++i) {

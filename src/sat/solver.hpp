@@ -45,7 +45,8 @@
 //   * two-literal watching with blocker literals,
 //   * first-UIP conflict analysis with basic (self-subsumption) minimization,
 //   * VSIDS variable activities with phase saving,
-//   * Luby restarts, plus a glucose-style LBD-EMA restart policy,
+//   * glucose-style restarts: restart when the fast LBD moving average
+//     exceeds the slow one (the restart rule of glucose 4.1),
 //   * tiered learned-clause management (core / tier2 / local by LBD, with
 //     usage-protected tier2 clauses),
 //   * assumption-aware trail saving between solve() calls,
@@ -70,12 +71,6 @@
 namespace janus::sat {
 
 enum class solve_result : std::uint8_t { sat, unsat, unknown };
-
-/// Restart policy for the CDCL search loop.
-enum class restart_policy : std::uint8_t {
-  luby,  ///< Luby sequence scaled by solver_options::restart_base.
-  ema,   ///< glucose-style: restart when the fast LBD EMA exceeds the slow one.
-};
 
 /// Counters exposed for benchmarking and tests.
 struct solver_stats {
@@ -136,23 +131,16 @@ inline solver_stats operator-(const solver_stats& after,
   return d;
 }
 
-/// Tunables; defaults follow MiniSat/glucose conventions.
+/// The settings callers vary; every other heuristic parameter is a named
+/// constant at its single use site (solver.cpp, simplify.cpp).
 struct solver_options {
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  int restart_base = 100;          // Luby unit, in conflicts
   int reduce_base = 2000;          // first learned-DB reduction, in conflicts
   int reduce_increment = 300;      // growth per reduction
-  bool phase_saving = true;
-  bool default_phase = false;      // value picked for never-assigned vars
-  restart_policy restart = restart_policy::luby;
-  int tier2_lbd = 6;               // LBD boundary between tier2 and local
 
   // Inprocessing (sat/simplify.hpp). Off by default: a bare solver must keep
   // every variable addressable by later add_clause()/assumption use without a
   // freeze protocol. The LM layer turns it on and freezes its interface vars.
   bool inprocess = false;
-  bool save_trail = true;          // keep assumption levels between solve()s
   /// Conflicts between inprocessing rounds (0 = every restart boundary).
   int inprocess_interval = 4000;
   /// Conflicts before the one-time preprocessing pass (bounded variable
@@ -162,11 +150,6 @@ struct solver_options {
   /// overhead, so only formulas that prove hard get simplified. 0 runs it at
   /// the very first boundary, before any search.
   int preprocess_delay = 300;
-  int bve_occurrence_limit = 16;   // per-polarity occurrence cap for BVE
-  int bve_resolvent_limit = 24;    // max literals of a kept BVE resolvent
-  int probes_per_round = 128;      // failed-literal probes per round
-  int vivify_per_round = 96;       // learned clauses vivified per round
-  int vivify_size_limit = 48;      // skip vivifying clauses longer than this
 };
 
 class simplifier;
@@ -217,7 +200,7 @@ class solver {
   /// Soften heuristic state between related solve() calls: scales every
   /// VSIDS activity down so the old ordering survives only as a tie-break
   /// under the next call's fresh bumps, resets the bump increment, and
-  /// (optionally) resets saved phases to the default polarity. Incremental
+  /// (optionally) resets saved phases to false. Incremental
   /// sessions call this between dimension probes so stale heuristic state
   /// from a distant probe cannot poison the next one.
   void decay_heuristics(bool rephase = true);
@@ -288,6 +271,11 @@ class solver {
   };
   static constexpr std::uint32_t lbd_mask = 0x3fffffffu;
 
+  // Fixed heuristic parameters (MiniSat/glucose conventions).
+  static constexpr double kVarDecay = 0.95;      // VSIDS decay per conflict
+  static constexpr double kClauseDecay = 0.999;  // learnt activity decay
+  static constexpr std::uint32_t kTier2Lbd = 6;  // tier2/local LBD boundary
+
   clause_ref alloc_clause(std::span<const lit> lits, bool learnt);
   [[nodiscard]] std::uint32_t clause_size(clause_ref c) const {
     return arena_[c] >> 3;
@@ -350,9 +338,9 @@ class solver {
 
   // --- heuristics ---------------------------------------------------------
   void var_bump_activity(var v);
-  void var_decay_activity() { var_inc_ /= options_.var_decay; }
+  void var_decay_activity() { var_inc_ /= kVarDecay; }
   void clause_bump_activity(clause_ref c);
-  void clause_decay_activity() { clause_inc_ /= options_.clause_decay; }
+  void clause_decay_activity() { clause_inc_ /= kClauseDecay; }
   [[nodiscard]] lit pick_branch_lit();
 
   // indexed binary max-heap over variable activities
@@ -391,14 +379,13 @@ class solver {
   void garbage_collect();
 
   // --- search -------------------------------------------------------------
-  [[nodiscard]] solve_result search(std::int64_t conflicts_before_restart);
+  [[nodiscard]] solve_result search();
   [[nodiscard]] bool budget_expired() const;
   /// Backtrack target that keeps the assumption levels alive (restarts and
   /// trail saving never need to go below it).
   [[nodiscard]] int assumption_root_level() const {
     return std::min(decision_level(), static_cast<int>(assumptions_.size()));
   }
-  static double luby(double y, int i);
 
   // --- data ----------------------------------------------------------------
   solver_options options_;

@@ -43,7 +43,7 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
           popts.backends = options.backends;
           popts.base = options.base;
           exec::context ctx;
-          ctx.pool = options.parallel_probes ? pool.get() : nullptr;
+          ctx.pool = pool.get();
           batch.portfolio[i] = run_portfolio(
               targets[i], popts, deadline::in_seconds(budget), ctx);
           const backend::backend_result* win = batch.portfolio[i].winning();
@@ -54,7 +54,7 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
         janus_options per = options.base;
         per.time_limit_s = budget;
         per.jobs = 1;  // sharding decides; the shared pool adds the rest
-        per.exec.pool = options.parallel_probes ? pool.get() : nullptr;
+        per.exec.pool = pool.get();
         janus_synthesizer engine(per);
         batch.results[i] = engine.run(targets[i]);
         JANUS_LOG(info) << "batch: " << targets[i].name() << " -> "

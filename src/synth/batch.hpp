@@ -42,10 +42,6 @@ struct batch_options {
   /// after it expired report hit_time_limit with their initial bounds; an
   /// expiring budget also tightens the deadline of later-starting targets.
   double total_time_limit_s = 0.0;
-
-  /// Fan out each target's dichotomic probes on the shared pool (on by
-  /// default; off restricts parallelism to target-level sharding).
-  bool parallel_probes = true;
 };
 
 struct batch_result {

@@ -1,7 +1,7 @@
 // Tests for the incremental solve path: multi-solve() reuse in sat::solver
 // (learned clauses surviving budget expiry and cancellation), lm_session /
 // lm_session_pool probe parity with the scratch encoder, the UNSAT frontier's
-// dominance pruning, the reachability session, and — the acceptance bar —
+// dominance pruning, and — the acceptance bar —
 // bit-identical bounds and solution sizes between scratch and session mode
 // at jobs=1 and jobs=8 across the Table II regression instances.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "instances/table2.hpp"
 #include "lm/lm_session.hpp"
 #include "lm/lm_solver.hpp"
-#include "lm/reach_encoding.hpp"
 #include "sat/solver.hpp"
 #include "synth/janus.hpp"
 
@@ -212,26 +211,6 @@ TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   const auto other = session.probe(cache.get({2, 2}), deadline::never(),
                                    60.0, -1, exec::cancel_token{});
   EXPECT_EQ(other.verdict, sat::solve_result::sat);
-}
-
-TEST(ReachSession, MatchesOneShotReachability) {
-  const target_spec t = target_spec::parse(3, "ab + b'c");
-  lm::lm_options options;
-  lm::reach_session session(t);
-  const lattice::dims ladder[] = {{2, 2}, {2, 3}, {1, 2}, {2, 2}};
-  for (const lattice::dims& d : ladder) {
-    const lm::lm_result one_shot = lm::solve_lm_reachability(t, d, options);
-    const lm::lm_result inc = session.probe(d, options);
-    EXPECT_EQ(one_shot.status, inc.status) << d.str();
-    if (inc.status == lm::lm_status::realizable) {
-      ASSERT_TRUE(inc.mapping.has_value());
-      EXPECT_TRUE(inc.mapping->realizes(t.function())) << d.str();
-    }
-    if (inc.status == lm::lm_status::unrealizable) {
-      EXPECT_TRUE(inc.definitely_unrealizable) << d.str();
-    }
-  }
-  EXPECT_EQ(session.num_groups(), 3u);  // {2,2} probed twice, encoded once
 }
 
 synth::janus_options determinism_options(bool incremental, int jobs) {

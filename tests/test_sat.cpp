@@ -310,6 +310,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Solver, PlantedSolutionsAreFoundAndLearntClausesAreSound) {
   rng r(99);
+  std::uint64_t restarts = 0;
   for (int iter = 0; iter < 25; ++iter) {
     const int nv = 80 + static_cast<int>(r.next_below(200));
     const int nc = static_cast<int>(static_cast<double>(nv) * 4.0);
@@ -333,11 +334,10 @@ TEST(Solver, PlantedSolutionsAreFoundAndLearntClausesAreSound) {
       }
       f.add_clause(cl);
     }
-    // Aggressive reduction/restarts to exercise clause management.
+    // Aggressive reduction to exercise clause management.
     solver_options o;
     o.reduce_base = 50;
     o.reduce_increment = 20;
-    o.restart_base = 16;
     solver s(o);
     s.add_cnf(f);
     long bad_learnts = 0;
@@ -354,7 +354,9 @@ TEST(Solver, PlantedSolutionsAreFoundAndLearntClausesAreSound) {
     ASSERT_EQ(s.solve(), solve_result::sat) << "iter " << iter;
     EXPECT_EQ(bad_learnts, 0) << "unsound learnt clause, iter " << iter;
     EXPECT_TRUE(model_satisfies(s, f));
+    restarts += s.stats().restarts;
   }
+  EXPECT_GT(restarts, 0u);  // learning crossed restart boundaries
 }
 
 TEST(Solver, StatisticsAreTracked) {

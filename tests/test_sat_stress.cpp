@@ -1,6 +1,5 @@
 // Stress and regression tests for the SAT solver: clause-database churn,
-// garbage collection, budget resumption, structured UNSAT families, and the
-// sequential at-most-one encoding.
+// garbage collection, budget resumption and structured UNSAT families.
 #include <gtest/gtest.h>
 
 #include "sat/cnf.hpp"
@@ -100,7 +99,6 @@ TEST(SolverStress, GarbageCollectionSurvivesHeavyChurn) {
   solver_options o;
   o.reduce_base = 20;
   o.reduce_increment = 5;
-  o.restart_base = 8;
   solver s(o);
   s.add_cnf(f);
   long bad = 0;
@@ -114,6 +112,7 @@ TEST(SolverStress, GarbageCollectionSurvivesHeavyChurn) {
   ASSERT_EQ(s.solve(), solve_result::sat);
   EXPECT_EQ(bad, 0);
   EXPECT_GT(s.stats().removed_clauses, 0u);
+  EXPECT_GT(s.stats().restarts, 0u);
 }
 
 TEST(SolverStress, BudgetedSolveCanResume) {
@@ -183,72 +182,6 @@ TEST(SolverStress, AssumptionSweepOverPlantedInstance) {
   for (const lit a : assume) {
     EXPECT_EQ(s.model_value(a), lbool::true_value);
   }
-}
-
-// --- sequential at-most-one -------------------------------------------------
-
-int count_models(const cnf& f, int projected_vars) {
-  // Count assignments to the first `projected_vars` variables extendable to a
-  // full model.
-  int count = 0;
-  for (std::uint64_t m = 0; m < (std::uint64_t{1} << projected_vars); ++m) {
-    solver s;
-    s.add_cnf(f);
-    std::vector<lit> assume;
-    for (int v = 0; v < projected_vars; ++v) {
-      assume.push_back(lit::make(v, ((m >> v) & 1) == 0));
-    }
-    if (s.solve(assume) == solve_result::sat) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-class SequentialAmo : public ::testing::TestWithParam<int> {};
-
-TEST_P(SequentialAmo, ProjectedModelsMatchPairwise) {
-  const int n = GetParam();
-  cnf pairwise;
-  cnf sequential;
-  std::vector<lit> group;
-  for (int v = 0; v < n; ++v) {
-    pairwise.new_var();
-    sequential.new_var();
-    group.push_back(lit::make(v));
-  }
-  pairwise.exactly_one(group);
-  sequential.exactly_one_sequential(group);
-  EXPECT_EQ(count_models(pairwise, n), n);
-  EXPECT_EQ(count_models(sequential, n), n);
-  if (n > 5) {
-    // The sequential encoding must actually be the compact one (the two tie
-    // at n = 5: 25 literals each).
-    EXPECT_LT(sequential.num_literals(), pairwise.num_literals());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SequentialAmo,
-                         ::testing::Values(2, 3, 5, 7, 9, 12));
-
-TEST(SequentialAmo, AllowsAllZeros) {
-  cnf f;
-  std::vector<lit> group;
-  for (int v = 0; v < 6; ++v) {
-    f.new_var();
-    group.push_back(lit::make(v));
-  }
-  f.at_most_one_sequential(group);
-  solver s;
-  s.add_cnf(f);
-  std::vector<lit> assume;
-  for (int v = 0; v < 6; ++v) {
-    assume.push_back(lit::make(v, true));
-  }
-  EXPECT_EQ(s.solve(assume), solve_result::sat);
-  // Two set literals must be rejected.
-  const std::vector<lit> two = {lit::make(0), lit::make(5)};
-  EXPECT_EQ(s.solve(two), solve_result::unsat);
 }
 
 }  // namespace

@@ -173,6 +173,7 @@ TEST(Simplify, RandomCnfAgreesWithBruteForceAndRebuildsModels) {
 
 TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
   rng r(77);
+  std::uint64_t restarts = 0;
   for (int iter = 0; iter < 10; ++iter) {
     const int nv = 80 + static_cast<int>(r.next_below(120));
     const int nc = static_cast<int>(static_cast<double>(nv) * 4.0);
@@ -199,23 +200,20 @@ TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
     }
     solver_options o = inprocessing_options();
     o.reduce_base = 60;  // churn the learnt DB through vivification rounds
-    o.restart_base = 16;
     solver s(o);
     s.add_cnf(f);
     ASSERT_EQ(s.solve(), solve_result::sat) << "iter " << iter;
     ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
+    restarts += s.stats().restarts;
   }
+  EXPECT_GT(restarts, 0u);  // the rounds ran across restart boundaries
 }
 
-TEST(Simplify, PigeonholeStaysUnsatUnderBothRestartPolicies) {
-  for (const restart_policy rp : {restart_policy::luby, restart_policy::ema}) {
-    solver_options o = inprocessing_options();
-    o.restart = rp;
-    solver s(o);
-    s.add_cnf(pigeonhole(7));
-    EXPECT_EQ(s.solve(), solve_result::unsat);
-    EXPECT_FALSE(s.okay());  // empty-assumption unsat poisons the solver
-  }
+TEST(Simplify, PigeonholeStaysUnsat) {
+  solver s(inprocessing_options());
+  s.add_cnf(pigeonhole(7));
+  EXPECT_EQ(s.solve(), solve_result::unsat);
+  EXPECT_FALSE(s.okay());  // empty-assumption unsat poisons the solver
 }
 
 TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {

@@ -17,17 +17,15 @@
 // Common flags:
 //   -t SECONDS     overall time limit (default 60)
 //   -s SECONDS     per-SAT-call limit (default 10)
-//   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
-//                  enables the dichotomic probe fan-out, the primal/dual
-//                  race, and batch sharding.
+//   -j N, --jobs N worker threads in [1, 4096] (default 1: fully
+//                  sequential). N >= 2 enables the dichotomic probe
+//                  fan-out, the primal/dual race, and batch sharding.
 //   --incremental / --no-incremental
 //                  incremental SAT sessions across the dichotomic ladder
 //                  (default: on). See docs/architecture.md.
 //   --inprocess / --no-inprocess
 //                  SAT inprocessing (subsumption, variable elimination,
 //                  vivification, probing; default: on). See docs/solver.md.
-//   --restart luby|ema
-//                  solver restart policy (default: ema)
 //   --stats        print the aggregated SAT solver counters after the run
 //   --cache FILE   persist the NP-canonical solution cache: load FILE when it
 //                  exists, save it back after the run — repeated runs answer
@@ -41,10 +39,12 @@
 //                  docs/backends.md.
 //   -q / -v        quiet / verbose logging
 //
+// Any other argument starting with '-', and a malformed or out-of-range
+// value of -t, -s, -j or -o, prints a message and exits 2.
+//
 // The full reference lives in docs/cli.md.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -81,7 +81,6 @@ struct cli_config {
   int jobs = 1;
   bool incremental = true;
   bool inprocess = true;
-  std::string restart = "ema";
   bool show_stats = false;
   bool use_cache = true;       ///< in-memory NP-canonical solution reuse
   std::string cache_path;      ///< optional on-disk persistence (--cache)
@@ -98,7 +97,7 @@ int usage() {
                "[-p file.pla] [-o N] [-t sec] [-s sec] [-j jobs] [-m method] "
                "[--backend name|portfolio] "
                "[--incremental|--no-incremental] "
-               "[--inprocess|--no-inprocess] [--restart luby|ema] [--stats] "
+               "[--inprocess|--no-inprocess] [--stats] "
                "[--cache file|--no-cache] [-q|-v]\n");
   return 2;
 }
@@ -116,8 +115,6 @@ int parse_vars(const std::string& text) {
 janus::sat::solver_options make_solver_options(const cli_config& cfg) {
   janus::sat::solver_options o = janus::lm::default_lm_solver_options();
   o.inprocess = cfg.inprocess;
-  o.restart = cfg.restart == "ema" ? janus::sat::restart_policy::ema
-                                   : janus::sat::restart_policy::luby;
   return o;
 }
 
@@ -585,8 +582,14 @@ int main(int argc, char** argv) {
       (arg == "-t" ? cfg.time_limit : cfg.sat_limit) = *seconds;
     } else if (arg == "-j" || arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.jobs = std::max(1, janus::parse_count(v, 1, 4096).value_or(1));
+      const std::optional<int> jobs =
+          v == nullptr ? std::nullopt : janus::parse_count(v, 1, 4096);
+      if (!jobs.has_value()) {
+        std::fprintf(stderr, "janus: %s needs a worker count in [1, 4096]\n",
+                     arg.c_str());
+        return usage();
+      }
+      cfg.jobs = *jobs;
     } else if (arg == "--incremental") {
       cfg.incremental = true;
     } else if (arg == "--no-incremental") {
@@ -595,13 +598,6 @@ int main(int argc, char** argv) {
       cfg.inprocess = true;
     } else if (arg == "--no-inprocess") {
       cfg.inprocess = false;
-    } else if (arg == "--restart") {
-      const char* v = next();
-      if (v == nullptr || (std::strcmp(v, "luby") != 0 &&
-                           std::strcmp(v, "ema") != 0)) {
-        return usage();
-      }
-      cfg.restart = v;
     } else if (arg == "--stats") {
       cfg.show_stats = true;
     } else if (arg == "--cache") {
@@ -635,12 +631,21 @@ int main(int argc, char** argv) {
       cfg.pla_path = v;
     } else if (arg == "-o") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.pla_output = janus::parse_int(v, -1, 1 << 20).value_or(-1);
+      const std::optional<int> output =
+          v == nullptr ? std::nullopt : janus::parse_int(v, 0, 1 << 20);
+      if (!output.has_value()) {
+        std::fprintf(stderr, "janus: -o needs an output index in [0, %d]\n",
+                     1 << 20);
+        return usage();
+      }
+      cfg.pla_output = *output;
     } else if (arg == "-q") {
       janus::set_log_level(janus::log_level::off);
     } else if (arg == "-v") {
       janus::set_log_level(janus::log_level::info);
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::fprintf(stderr, "janus: unknown option '%s'\n", arg.c_str());
+      return usage();
     } else {
       cfg.positional.push_back(arg);
     }
