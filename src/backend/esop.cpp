@@ -159,9 +159,6 @@ class esop_session {
     active_.resize(static_cast<std::size_t>(max_terms_));
     for (int j = 0; j < max_terms_; ++j) {
       active_[j] = solver_.new_var();
-      // Activation selectors are this ladder's interface variables: they
-      // carry every probe's assumptions, so inprocessing must not touch them.
-      solver_.freeze(active_[j]);
       for (int i = 0; i < num_vars_; ++i) {
         pos_[index(j, i)] = solver_.new_var();
         neg_[index(j, i)] = solver_.new_var();
@@ -220,7 +217,7 @@ class esop_session {
   sat::solver solver_;
   std::vector<sat::var> pos_;     // p[j][i]: positive literal present
   std::vector<sat::var> neg_;     // q[j][i]: complemented literal present
-  std::vector<sat::var> active_;  // per-term activation (frozen)
+  std::vector<sat::var> active_;  // per-term activation (assumed per probe)
 };
 
 class esop_backend final : public synth_backend {

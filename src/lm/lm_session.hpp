@@ -60,11 +60,8 @@
 
 namespace janus::lm {
 
-/// Solver configuration for LM instances: inprocessing on.
-/// Scratch solves freeze nothing and get the full reduction (bounded
-/// variable elimination included); sessions freeze every interface
-/// variable, so they keep the subsumption / vivification / probing rounds
-/// but skip elimination — the split docs/solver.md describes.
+/// Solver configuration for LM instances: inprocessing on. Scratch solves
+/// and sessions run the same simplifier (docs/solver.md).
 [[nodiscard]] inline sat::solver_options default_lm_solver_options() {
   sat::solver_options o;
   o.inprocess = true;

@@ -43,8 +43,7 @@ struct lm_options {
   lm_encode_options encode;
   /// SAT solver configuration for every solver this call touches: the
   /// scratch path constructs its solvers with it, and session pools should
-  /// be constructed with the same value (scratch solves additionally get
-  /// bounded variable elimination, since they freeze no variables).
+  /// be constructed with the same value.
   sat::solver_options solver = default_lm_solver_options();
   double sat_time_limit_s = 1200.0;  // the paper's empirically chosen limit
   std::int64_t conflict_budget = -1;

@@ -2,8 +2,8 @@
 //
 // Support structures for the inprocessing engine (sat/simplify.hpp): the
 // simplifier walks "which clauses contain literal l" queries for backward
-// subsumption and bounded variable elimination, and prunes candidate pairs
-// with 64-bit Bloom signatures before paying for a full literal scan.
+// subsumption, and prunes candidate pairs with 64-bit Bloom signatures
+// before paying for a full literal scan.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +35,6 @@ class occurrence_index {
 
   [[nodiscard]] const std::vector<std::uint32_t>& operator[](lit l) const {
     return lists_[static_cast<std::size_t>(l.code())];
-  }
-  [[nodiscard]] std::vector<std::uint32_t>& operator[](lit l) {
-    return lists_[static_cast<std::size_t>(l.code())];
-  }
-
-  [[nodiscard]] int num_vars() const {
-    return static_cast<int>(lists_.size() / 2);
   }
 
  private:

@@ -14,10 +14,6 @@ inline bool is_undef(lbool v) { return v == lbool::undef; }
 // an occurrence list longer than this (quadratic blowup guard).
 constexpr std::size_t kOccScanLimit = 1000;
 
-// Bounded variable elimination: per-polarity occurrence cap, and the longest
-// resolvent it may keep.
-constexpr std::size_t kBveOccurrenceLimit = 16;
-constexpr std::size_t kBveResolventLimit = 24;
 // Work per inprocessing round: failed-literal probes, and learnt clauses
 // vivified (clauses longer than kVivifySizeLimit are skipped).
 constexpr std::size_t kProbesPerRound = 128;
@@ -86,22 +82,17 @@ void simplifier::cleanup_list(std::vector<solver::clause_ref>& list) {
   list.resize(j);
 }
 
-std::uint32_t simplifier::add_item(solver::clause_ref c) {
-  const auto idx = static_cast<std::uint32_t>(items_.size());
-  const std::span<const lit> lits = s_.clause_span(c);
-  items_.push_back({c, clause_signature(lits)});
-  for (const lit l : lits) {
-    occ_[l].push_back(idx);
-  }
-  return idx;
-}
-
 void simplifier::build_occurrence() {
   occ_.reset(s_.num_vars());
   items_.clear();
   items_.reserve(s_.clauses_.size());
   for (const solver::clause_ref c : s_.clauses_) {
-    (void)add_item(c);
+    const auto idx = static_cast<std::uint32_t>(items_.size());
+    const std::span<const lit> lits = s_.clause_span(c);
+    items_.push_back({c, clause_signature(lits)});
+    for (const lit l : lits) {
+      occ_.add(l, idx);
+    }
   }
 }
 
@@ -169,7 +160,7 @@ void simplifier::backward_subsume(std::uint32_t idx) {
   }
   const std::size_t base_size = base.size();
   const std::uint64_t sig = items_[idx].sig;
-  auto& cands = occ_[best];
+  const auto& cands = occ_[best];
   for (std::size_t i = 0; i < cands.size(); ++i) {
     const std::uint32_t cand = cands[i];
     if (cand == idx || s_.clause_deleted(items_[cand].cref)) {
@@ -253,174 +244,6 @@ void simplifier::strengthen_item(std::uint32_t idx, lit p) {
   s_.attach_clause(c);
   it.sig = clause_signature(s_.clause_span(c));
   push_work(idx);  // a strengthened clause can subsume further clauses
-}
-
-// --------------------------------------------------------------------------
-// Bounded variable elimination (preprocessing only)
-// --------------------------------------------------------------------------
-
-void simplifier::eliminate_variables() {
-  const int n = s_.num_vars();
-  std::vector<std::pair<std::uint32_t, var>> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (var v = 0; v < n; ++v) {
-    if (s_.is_frozen(v) || s_.is_eliminated(v) || !is_undef(s_.value(v))) {
-      continue;
-    }
-    const std::size_t cnt =
-        occ_[lit::make(v)].size() + occ_[lit::make(v, true)].size();
-    if (cnt == 0) {
-      continue;
-    }
-    order.push_back({static_cast<std::uint32_t>(cnt), v});
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [cnt, v] : order) {
-    if (!s_.ok_ || s_.stopped_externally()) {
-      return;
-    }
-    if (!is_undef(s_.value(v))) {
-      continue;  // an earlier elimination's resolvents fixed it
-    }
-    try_eliminate(v);
-  }
-  if (!s_.ok_) {
-    return;
-  }
-  // Learnt clauses over an eliminated variable are implied by the ORIGINAL
-  // formula, not necessarily by the reduced one (which leaves the variable
-  // unconstrained); keeping them would be unsound. Drop them.
-  for (const solver::clause_ref c : s_.learnts_) {
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    const std::span<const lit> cl = s_.clause_span(c);
-    bool dead = false;
-    for (const lit l : cl) {
-      if (s_.eliminated_[static_cast<std::size_t>(l.variable())] != 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (dead) {
-      s_.remove_clause(c);
-    }
-  }
-}
-
-void simplifier::gather(lit l, std::vector<std::uint32_t>& out) {
-  out.clear();
-  for (const std::uint32_t idx : occ_[l]) {
-    const solver::clause_ref c = items_[idx].cref;
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    bool found = false;
-    for (const lit x : s_.clause_span(c)) {
-      if (x == l) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      out.push_back(idx);  // entries whose literal was strengthened away drop
-    }
-  }
-}
-
-bool simplifier::resolve_pair(solver::clause_ref p, solver::clause_ref n,
-                              var v, std::vector<lit>& out) {
-  out.clear();
-  next_stamp();
-  for (const lit x : s_.clause_span(p)) {
-    if (x.variable() == v) {
-      continue;
-    }
-    stamp(x);
-    out.push_back(x);
-  }
-  for (const lit x : s_.clause_span(n)) {
-    if (x.variable() == v || stamped(x)) {
-      continue;
-    }
-    if (stamped(~x)) {
-      return false;  // tautological resolvent
-    }
-    stamp(x);
-    out.push_back(x);
-  }
-  return true;
-}
-
-void simplifier::try_eliminate(var v) {
-  const lit pl = lit::make(v);
-  gather(pl, pos_);
-  gather(~pl, neg_);
-  const std::size_t before = pos_.size() + neg_.size();
-  if (before == 0) {
-    return;
-  }
-  if (pos_.size() > kBveOccurrenceLimit || neg_.size() > kBveOccurrenceLimit) {
-    return;
-  }
-  // Longest clause being removed: elimination must never produce a clause
-  // longer than the ones it replaces. Longer clauses propagate later, and on
-  // the lattice encodings that measurably lengthens UNSAT proofs even when
-  // the clause *count* shrinks.
-  std::size_t max_parent_len = 0;
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      max_parent_len =
-          std::max(max_parent_len,
-                   static_cast<std::size_t>(s_.clause_size(items_[idx].cref)));
-    }
-  }
-  resolvents_.clear();
-  for (const std::uint32_t pi : pos_) {
-    for (const std::uint32_t ni : neg_) {
-      if (!resolve_pair(items_[pi].cref, items_[ni].cref, v, tmp_)) {
-        continue;
-      }
-      if (tmp_.size() > kBveResolventLimit || tmp_.size() > max_parent_len) {
-        return;  // resolvent longer than what it replaces: keep the variable
-      }
-      resolvents_.push_back(tmp_);
-      if (resolvents_.size() + 1 > before) {
-        return;  // elimination must strictly shrink the formula
-      }
-    }
-  }
-  // Commit: save the removed clauses for model reconstruction, then swap
-  // them for the resolvents.
-  auto& ev = s_.reconstruction_.emplace_back();
-  ev.v = v;
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      const std::span<const lit> cl = s_.clause_span(items_[idx].cref);
-      ev.clause_sizes.push_back(static_cast<std::uint32_t>(cl.size()));
-      ev.clause_lits.insert(ev.clause_lits.end(), cl.begin(), cl.end());
-    }
-  }
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      s_.remove_clause(items_[idx].cref);
-    }
-  }
-  s_.eliminated_[static_cast<std::size_t>(v)] = 1;
-  ++s_.stats_.eliminated_vars;
-  for (const auto& r : resolvents_) {
-    const std::size_t nc = s_.clauses_.size();
-    const std::size_t t0 = s_.trail_.size();
-    if (!s_.add_clause(r)) {
-      return;  // resolvents refuted the formula
-    }
-    if (s_.clauses_.size() > nc) {
-      push_work(add_item(s_.clauses_.back()));
-    }
-    if (s_.trail_.size() != t0) {
-      clear_level0_reasons();  // a unit resolvent propagated
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -599,14 +422,6 @@ void simplifier::preprocess() {
     push_work(i);
   }
   drain_subsumption();
-  if (!s_.ok_) {
-    return;
-  }
-  eliminate_variables();
-  if (!s_.ok_) {
-    return;
-  }
-  drain_subsumption();  // resolvents queued during elimination
   if (!s_.ok_) {
     return;
   }

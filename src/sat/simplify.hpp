@@ -3,27 +3,21 @@
 // Two entry points, both invoked by solver::solve() at decision level 0:
 //
 //   * preprocess() — once per solver lifetime, at the first inprocessing
-//     boundary: top-level cleanup, full backward subsumption with
-//     self-subsuming resolution, and bounded variable elimination (BVE).
-//     BVE runs ONLY here: a clause added after the first solve() may
-//     mention any unfrozen variable, so elimination cannot soundly repeat.
-//     Incremental sessions freeze every interface variable (activation
-//     literals, encoding variables future clause groups reference); scratch
-//     solves freeze nothing and get the full reduction.
+//     boundary: top-level cleanup and full backward subsumption with
+//     self-subsuming resolution over the original clauses.
 //
 //   * inprocess() — at restart boundaries on a conflict-count schedule:
 //     cleanup, backward subsumption seeded from the clauses added since the
 //     last round, ticket-scheduled failed-literal probing on the binary
 //     implication graph, and vivification of high-LBD learned clauses.
 //
-// Frozen variables (solver::freeze) are exempt from elimination, which
-// keeps assumption literals and final-conflict extraction sound; see
-// docs/solver.md for the protocol.
+// Neither removes a variable: every rewrite is a subsumption, a
+// strengthening or a new level-0 fact, each implied by the current formula,
+// so later add_clause() calls and assumptions may mention any variable.
 //
 // A simplifier is a stack-constructed friend of the solver: persistent
-// state (frozen/eliminated flags, the model reconstruction stack, the
-// subsumption queue, scheduling counters) lives on the solver, while this
-// class only holds per-round scratch.
+// state (the subsumption queue, scheduling counters) lives on the solver,
+// while this class only holds per-round scratch.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +39,8 @@ class simplifier {
   /// when simplification refutes the formula.
   void preprocess();
 
-  /// One restart-boundary inprocessing round (see file comment). Never
-  /// eliminates variables. May set okay() false.
+  /// One restart-boundary inprocessing round (see file comment). May set
+  /// okay() false.
   void inprocess();
 
  private:
@@ -61,7 +55,6 @@ class simplifier {
   void cleanup_list(std::vector<solver::clause_ref>& list);
   void clear_level0_reasons();
   void build_occurrence();
-  std::uint32_t add_item(solver::clause_ref c);
   void finish();
 
   // subsumption / self-subsuming resolution
@@ -69,13 +62,6 @@ class simplifier {
   void drain_subsumption();
   void backward_subsume(std::uint32_t idx);
   void strengthen_item(std::uint32_t idx, lit p);
-
-  // bounded variable elimination
-  void eliminate_variables();
-  void try_eliminate(var v);
-  void gather(lit l, std::vector<std::uint32_t>& out);
-  [[nodiscard]] bool resolve_pair(solver::clause_ref p, solver::clause_ref n,
-                                  var v, std::vector<lit>& out);
 
   // probing and vivification
   void probe_failed_literals();
@@ -96,10 +82,6 @@ class simplifier {
   std::vector<std::uint8_t> in_work_;
   std::vector<std::uint64_t> lit_stamp_;
   std::uint64_t stamp_ = 0;
-  std::vector<std::uint32_t> pos_;  // per-var scratch for BVE
-  std::vector<std::uint32_t> neg_;
-  std::vector<std::vector<lit>> resolvents_;
-  std::vector<lit> tmp_;
 };
 
 }  // namespace janus::sat

@@ -27,22 +27,13 @@ var solver::new_var() {
   seen_.push_back(0);
   lbd_seen_.push_back(0);
   heap_index_.push_back(-1);
-  frozen_.push_back(0);
-  eliminated_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
   return v;
 }
 
-void solver::freeze(var v) {
-  JANUS_CHECK_MSG(v >= 0 && v < num_vars(), "freeze of unallocated variable");
-  JANUS_CHECK_MSG(!is_eliminated(v),
-                  "variable was already eliminated; freeze it before solve()");
-  frozen_[static_cast<std::size_t>(v)] = 1;
-}
-
-void solver::decay_heuristics(bool rephase) {
+void solver::decay_heuristics() {
   // Shrink every activity by a huge uniform factor instead of zeroing: the
   // next solve's bumps (var_inc_ back at 1.0) dominate the residue, so the
   // solver effectively restarts its branching heuristic, yet ties among
@@ -53,9 +44,6 @@ void solver::decay_heuristics(bool rephase) {
     a *= 1e-30;
   }
   var_inc_ = 1.0;
-  if (rephase) {
-    std::fill(saved_phase_.begin(), saved_phase_.end(), std::uint8_t{0});
-  }
 }
 
 solver::clause_ref solver::alloc_clause(std::span<const lit> lits, bool learnt) {
@@ -130,9 +118,6 @@ bool solver::add_clause(std::span<const lit> lits) {
   for (const lit l : lits) {
     JANUS_CHECK_MSG(!l.is_undef() && l.variable() < num_vars(),
                     "literal over unallocated solver variable");
-    JANUS_CHECK_MSG(!is_eliminated(l.variable()),
-                    "clause over an eliminated variable; freeze interface "
-                    "variables before solve()");
   }
   std::vector<lit> copy(lits.begin(), lits.end());
   std::sort(copy.begin(), copy.end());
@@ -525,7 +510,7 @@ void solver::heap_sift_down(int i) {
 lit solver::pick_branch_lit() {
   while (!heap_.empty()) {
     const var v = heap_pop();
-    if (is_undef(value(v)) && !is_eliminated(v)) {
+    if (is_undef(value(v))) {
       return lit::make(v, saved_phase_[static_cast<std::size_t>(v)] == 0);
     }
   }
@@ -803,62 +788,15 @@ solve_result solver::search() {
   }
 }
 
-void solver::extend_model() {
-  // Replay the reconstruction stack newest-first: a clause saved when `v`
-  // was eliminated only mentions variables that were still live at that
-  // moment, and replaying in reverse chronological order restores those
-  // first, so every lookup below reads a final value.
-  const auto model_lit_true = [this](lit l) {
-    return apply_sign(model_[static_cast<std::size_t>(l.variable())],
-                      l.negated()) == lbool::true_value;
-  };
-  for (auto it = reconstruction_.rbegin(); it != reconstruction_.rend(); ++it) {
-    const auto vi = static_cast<std::size_t>(it->v);
-    // Pick the polarity that satisfies every clause the elimination removed
-    // (at most one polarity is forced when the resolvents are satisfied,
-    // which the model guarantees).
-    lbool forced = lbool::undef;
-    std::size_t pos = 0;
-    for (const std::uint32_t size : it->clause_sizes) {
-      bool satisfied = false;
-      lit mine = lit_undef;
-      for (std::uint32_t k = 0; k < size; ++k) {
-        const lit l = it->clause_lits[pos + k];
-        if (l.variable() == it->v) {
-          mine = l;
-          continue;
-        }
-        if (model_lit_true(l)) {
-          satisfied = true;
-          break;
-        }
-      }
-      pos += size;
-      if (!satisfied && !mine.is_undef()) {
-        forced = to_lbool(!mine.negated());
-      }
-    }
-    model_[vi] = forced == lbool::undef ? lbool::false_value : forced;
-  }
-}
-
 solve_result solver::solve(std::span<const lit> assumptions) {
   model_.clear();
   conflict_core_.clear();
   if (!ok_) {
     return solve_result::unsat;
   }
-  // Freeze the assumption variables against elimination in this and future
-  // inprocessing rounds.
   for (const lit a : assumptions) {
     JANUS_CHECK_MSG(!a.is_undef() && a.variable() < num_vars(),
                     "assumption over unallocated variable");
-    JANUS_CHECK_MSG(!is_eliminated(a.variable()),
-                    "assumption over an eliminated variable; freeze interface "
-                    "variables before solve()");
-    if (options_.inprocess) {
-      freeze(a.variable());
-    }
   }
   assumptions_.assign(assumptions.begin(), assumptions.end());
   deadline_hit_ = false;
@@ -875,19 +813,12 @@ solve_result solver::solve(std::span<const lit> assumptions) {
 
   solve_result status = solve_result::unknown;
 
-  // Deferred preprocessing: the one-time full reduction (bounded variable
-  // elimination included) runs at the first restart boundary past
-  // `preprocess_delay` conflicts, not here. A solve that finishes sooner
-  // therefore runs bit-identically to a plain CDCL solve and pays zero
-  // simplification overhead — only formulas that prove hard get simplified.
-  // Eliminating variables mid-search is sound because eliminate_variables()
-  // drops every learnt clause over an eliminated variable (implied by the
-  // original formula, not the reduced one) and assumption variables were
-  // frozen above.
+  // Deferred preprocessing: book the first round kPreprocessDelay conflicts
+  // ahead instead of running it here, so only formulas that prove hard get
+  // simplified.
   if (options_.inprocess && !preprocessed_ && !inprocess_scheduled_) {
     inprocess_scheduled_ = true;
-    next_inprocess_ = stats_.conflicts +
-                      static_cast<std::uint64_t>(options_.preprocess_delay);
+    next_inprocess_ = stats_.conflicts + kPreprocessDelay;
   }
   if (!ok_) {
     status = solve_result::unsat;
@@ -922,12 +853,8 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     if (options_.inprocess && stats_.conflicts >= next_inprocess_) {
       cancel_until(0);
       if (!preprocessed_) {
-        // First round on a formula that proved hard: the full preprocessing
-        // pass. Bounded variable elimination lives ONLY here — clauses added
-        // after this point may reference any unfrozen variable, so
-        // elimination cannot run again (sessions freeze their interface
-        // variables; scratch solves never add clauses after the first
-        // solve()).
+        // First round on a formula that proved hard: subsume over every
+        // original clause, not just the recently added ones.
         preprocessed_ = true;
         simplifier(*this).preprocess();
       } else {
@@ -946,9 +873,6 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     }
   }
 
-  if (status == solve_result::sat) {
-    extend_model();
-  }
   if (ok_) {
     cancel_until(assumption_root_level());
   } else {

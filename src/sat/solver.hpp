@@ -33,13 +33,9 @@
 //     solver permanently unsat (`okay()` turns false): the formula itself is
 //     contradictory and no later call can succeed. Assumption-relative unsat
 //     answers do NOT poison the solver.
-//   * Inprocessing (off by default, see solver_options::inprocess) adds one
-//     rule: a variable that must stay visible at the interface — future
-//     assumption literals, activation literals of guarded clause groups,
-//     variables referenced by clauses that will be added later — must be
-//     freeze()-d before the next solve() call. Frozen variables are exempt
-//     from elimination. Assumption variables of the current call are frozen
-//     automatically. See docs/solver.md.
+//   * Inprocessing (off by default, see solver_options::inprocess) never
+//     removes a variable, so it adds no rule: later clauses and assumptions
+//     may mention any variable the solver has allocated.
 //
 // Implemented techniques:
 //   * two-literal watching with blocker literals,
@@ -52,9 +48,8 @@
 //   * assumption-aware trail saving between solve() calls,
 //   * top-level simplification and arena garbage collection,
 //   * solving under assumptions (with final-conflict extraction),
-//   * inprocessing (sat/simplify.hpp): preprocessing-time bounded variable
-//     elimination, subsumption / self-subsuming resolution, failed-literal
-//     probing and clause vivification.
+//   * inprocessing (sat/simplify.hpp): subsumption / self-subsuming
+//     resolution, failed-literal probing and clause vivification.
 #pragma once
 
 #include <algorithm>
@@ -84,7 +79,7 @@ struct solver_stats {
   // Inprocessing counters (sat/simplify.cpp).
   std::uint64_t subsumed = 0;            ///< clauses removed by subsumption
   std::uint64_t strengthened = 0;        ///< self-subsuming resolution steps
-  std::uint64_t eliminated_vars = 0;     ///< variables removed by BVE
+  std::uint64_t eliminated_vars = 0;     ///< always 0; kept for JSON readers
   std::uint64_t vivified = 0;            ///< learned clauses shrunk by vivification
   std::uint64_t probed_failed_lits = 0;  ///< failed literals found by probing
   std::uint64_t substituted_vars = 0;    ///< always 0; kept for JSON readers
@@ -137,19 +132,11 @@ struct solver_options {
   int reduce_base = 2000;          // first learned-DB reduction, in conflicts
   int reduce_increment = 300;      // growth per reduction
 
-  // Inprocessing (sat/simplify.hpp). Off by default: a bare solver must keep
-  // every variable addressable by later add_clause()/assumption use without a
-  // freeze protocol. The LM layer turns it on and freezes its interface vars.
+  // Inprocessing (sat/simplify.hpp). Off by default, so a bare solver runs
+  // plain CDCL; the LM layer's default options turn it on.
   bool inprocess = false;
   /// Conflicts between inprocessing rounds (0 = every restart boundary).
   int inprocess_interval = 4000;
-  /// Conflicts before the one-time preprocessing pass (bounded variable
-  /// elimination included), which is DEFERRED to the first restart boundary
-  /// past this count rather than run up-front: a solve that finishes sooner
-  /// is bit-identical to an inprocess=false run and pays zero simplification
-  /// overhead, so only formulas that prove hard get simplified. 0 runs it at
-  /// the very first boundary, before any search.
-  int preprocess_delay = 300;
 };
 
 class simplifier;
@@ -178,32 +165,13 @@ class solver {
   /// everything learned so far.
   bool add_cnf(const cnf& formula);
 
-  /// Frozen-variable protocol (only meaningful with inprocessing on, no-op
-  /// cost otherwise). A frozen variable is exempt from bounded variable
-  /// elimination, so it stays valid in later add_clause() calls, as a future
-  /// assumption, and in conflict_core() output. Incremental sessions freeze
-  /// their activation literals and every encoding variable that future
-  /// clause groups may reference; one-shot (scratch) solves freeze nothing.
-  void freeze(var v);
-  void freeze(lit l) { freeze(l.variable()); }
-  [[nodiscard]] bool is_frozen(var v) const {
-    return frozen_[static_cast<std::size_t>(v)] != 0;
-  }
-  /// True if bounded variable elimination removed `v` from the formula.
-  /// Such a variable must not appear in later clauses or assumptions (freeze
-  /// it beforehand if it must stay addressable); model_value() still reports
-  /// a consistent value for it after sat, via model reconstruction.
-  [[nodiscard]] bool is_eliminated(var v) const {
-    return eliminated_[static_cast<std::size_t>(v)] != 0;
-  }
-
   /// Soften heuristic state between related solve() calls: scales every
   /// VSIDS activity down so the old ordering survives only as a tie-break
-  /// under the next call's fresh bumps, resets the bump increment, and
-  /// (optionally) resets saved phases to false. Incremental
-  /// sessions call this between dimension probes so stale heuristic state
-  /// from a distant probe cannot poison the next one.
-  void decay_heuristics(bool rephase = true);
+  /// under the next call's fresh bumps, and resets the bump increment.
+  /// Saved phases are kept. Incremental sessions call this between
+  /// dimension probes so stale heuristic state from a distant probe cannot
+  /// poison the next one.
+  void decay_heuristics();
 
   /// Budgets: any expired budget makes solve() return `unknown`.
   void set_conflict_budget(std::int64_t conflicts) { conflict_budget_ = conflicts; }
@@ -275,6 +243,11 @@ class solver {
   static constexpr double kVarDecay = 0.95;      // VSIDS decay per conflict
   static constexpr double kClauseDecay = 0.999;  // learnt activity decay
   static constexpr std::uint32_t kTier2Lbd = 6;  // tier2/local LBD boundary
+  // Conflicts before the one-time preprocessing pass, which is deferred to
+  // the first restart boundary past this count: a solve that finishes
+  // sooner runs bit-identically to an inprocess=false solve and pays no
+  // simplification overhead.
+  static constexpr std::uint64_t kPreprocessDelay = 300;
 
   clause_ref alloc_clause(std::span<const lit> lits, bool learnt);
   [[nodiscard]] std::uint32_t clause_size(clause_ref c) const {
@@ -356,19 +329,6 @@ class solver {
     return activity_[static_cast<std::size_t>(a)] > activity_[static_cast<std::size_t>(b)];
   }
 
-  // --- inprocessing support ----------------------------------------------
-  /// Replay the reconstruction stack so model_ also assigns eliminated
-  /// variables consistently with the original formula.
-  void extend_model();
-
-  /// One entry per eliminated variable, in chronological order: the
-  /// variable's removed clauses (flattened) for reconstruction.
-  struct reconstruction_event {
-    var v = var_undef;
-    std::vector<lit> clause_lits;
-    std::vector<std::uint32_t> clause_sizes;
-  };
-
   // --- clause DB management ----------------------------------------------
   void attach_clause(clause_ref c);
   void detach_clause(clause_ref c);
@@ -430,9 +390,6 @@ class solver {
   std::vector<lbool> model_;
 
   // Inprocessing state (see sat/simplify.cpp).
-  std::vector<std::uint8_t> frozen_;
-  std::vector<std::uint8_t> eliminated_;
-  std::vector<reconstruction_event> reconstruction_;
   std::vector<clause_ref> subsumption_queue_;  // clauses added since last round
   bool preprocessed_ = false;
   bool inprocess_scheduled_ = false;  ///< first round booked (see solve())

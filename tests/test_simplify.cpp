@@ -1,12 +1,12 @@
 // Tests for the inprocessing engine (sat/simplify.hpp).
 //
-// The engine rewrites the formula underneath the search — variable
-// elimination, subsumption, vivification — so the tests here are about
-// *preservation*: with inprocessing on, the
-// solver must report the same status as with it off (and as brute force),
-// models must satisfy the ORIGINAL formula (exercising model
-// reconstruction), and the frozen-variable protocol must keep assumptions
-// and conflict cores sound.
+// The engine rewrites the formula underneath the search — subsumption,
+// strengthening, failed-literal probing, vivification — so the tests here
+// are about *preservation*: with inprocessing on, the solver must report
+// the same status as with it off (and as brute force), models must satisfy
+// the ORIGINAL formula, and since no variable is ever removed, clauses and
+// assumptions over any variable must stay legal and sound across solves,
+// conflict cores included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,11 +149,35 @@ var guarded_pigeonhole(cnf& f, int holes, var amo_guard = var_undef) {
   return g;
 }
 
+/// guarded_pigeonhole(6) whose at-most-one clauses take a second guard h, so
+/// only solve({g, h}) is UNSAT, plus satisfiable side constraints
+/// (x | helper), (~helper | y) through a helper that is never assumed.
+struct guarded_instance {
+  cnf f;
+  var h = var_undef;
+  var g = var_undef;
+  var x = var_undef;
+  var y = var_undef;
+  var helper = var_undef;
+};
+
+guarded_instance guarded_pigeonhole_with_helper() {
+  guarded_instance in;
+  in.h = in.f.new_var();
+  in.g = guarded_pigeonhole(in.f, 6, in.h);
+  in.x = in.f.new_var();
+  in.y = in.f.new_var();
+  in.helper = in.f.new_var();
+  in.f.add_binary(lit::make(in.x), lit::make(in.helper));
+  in.f.add_binary(~lit::make(in.helper), lit::make(in.y));
+  return in;
+}
+
 // ---------------------------------------------------------------------------
 // Model preservation
 // ---------------------------------------------------------------------------
 
-TEST(Simplify, RandomCnfAgreesWithBruteForceAndRebuildsModels) {
+TEST(Simplify, RandomCnfAgreesWithBruteForce) {
   rng r(4242);
   for (int iter = 0; iter < 400; ++iter) {
     const int nv = 4 + static_cast<int>(r.next_below(10));
@@ -164,8 +188,8 @@ TEST(Simplify, RandomCnfAgreesWithBruteForceAndRebuildsModels) {
     const bool expected = brute_force_sat(f);
     ASSERT_EQ(res == solve_result::sat, expected) << "iter " << iter;
     if (res == solve_result::sat) {
-      // The model must satisfy the ORIGINAL clauses, including every
-      // variable that elimination removed from the search.
+      // The model must satisfy the ORIGINAL clauses, not just the
+      // simplified ones.
       ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
     }
   }
@@ -237,7 +261,7 @@ TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {
             << text << " on " << d.str();
         const auto mapping = enc.decode(s);
         EXPECT_TRUE(mapping.realizes(t.function()))
-            << "decode through reconstructed model failed for " << text
+            << "decode failed for " << text
             << " on " << d.str();
       }
     }
@@ -245,10 +269,10 @@ TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen-variable protocol
+// Incremental use: assumptions and clauses added between solves
 // ---------------------------------------------------------------------------
 
-TEST(Simplify, AssumptionVariablesAreFrozenNotEliminated) {
+TEST(Simplify, AssumptionUnsatKeepsSolverUsable) {
   cnf f;
   const var g = guarded_pigeonhole(f, 5);
   solver s(inprocessing_options());
@@ -257,8 +281,6 @@ TEST(Simplify, AssumptionVariablesAreFrozenNotEliminated) {
 
   ASSERT_EQ(s.solve({{assume}}), solve_result::unsat);
   EXPECT_TRUE(s.okay());  // assumption-relative unsat must not poison
-  EXPECT_TRUE(s.is_frozen(g));
-  EXPECT_FALSE(s.is_eliminated(g));
   // The conflict core speaks the caller's language: negations of the
   // assumptions that were actually used.
   ASSERT_FALSE(s.conflict_core().empty());
@@ -270,32 +292,26 @@ TEST(Simplify, AssumptionVariablesAreFrozenNotEliminated) {
   EXPECT_TRUE(model_satisfies(s, f));
 }
 
-TEST(Simplify, ExplicitFreezeAllowsClausesAfterPreprocessing) {
+TEST(Simplify, ClausesAddedBetweenSolvesStaySound) {
   rng r(909);
   for (int iter = 0; iter < 60; ++iter) {
     const int nv = 5 + static_cast<int>(r.next_below(7));
     const cnf base = random_cnf(r, nv);
     solver s(inprocessing_options());
     s.add_cnf(base);
-    // Freeze three variables up front, as the LM layer does for interface
-    // variables, so clauses over them remain legal after preprocessing.
-    std::vector<var> iface;
-    for (int k = 0; k < 3; ++k) {
-      const auto v =
-          static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv)));
-      iface.push_back(v);
-      s.freeze(v);
-    }
     const solve_result first = s.solve();
     ASSERT_EQ(first == solve_result::sat, brute_force_sat(base))
         << "iter " << iter;
     if (first != solve_result::sat) {
       continue;
     }
+    // A clause over any three variables, added after the first solve.
     cnf extended = base;
     std::vector<lit> extra;
-    for (const var v : iface) {
-      extra.push_back(lit::make(v, r.next_bool()));
+    for (int k = 0; k < 3; ++k) {
+      extra.push_back(lit::make(
+          static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
+          r.next_bool()));
     }
     extended.add_clause(extra);
     const bool added = s.add_clause(extra);
@@ -318,21 +334,13 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
     const cnf f = random_cnf(r, nv);
     solver s(inprocessing_options());
     s.add_cnf(f);
-    // The protocol: variables assumed after preprocessing must be frozen
-    // before the first solve(). Draw all assumptions from a frozen pool.
-    std::vector<var> pool;
-    for (int k = 0; k < 4; ++k) {
-      const auto v =
-          static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv)));
-      pool.push_back(v);
-      s.freeze(v);
-    }
     for (int round = 0; round < 6; ++round) {
       std::vector<lit> assumptions;
       const int count = static_cast<int>(r.next_below(4));
       for (int k = 0; k < count; ++k) {
-        assumptions.push_back(
-            lit::make(pool[r.next_below(pool.size())], r.next_bool()));
+        assumptions.push_back(lit::make(
+            static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
+            r.next_bool()));
       }
       const solve_result res = s.solve(assumptions);
       const bool expected = brute_force_sat(f, assumptions);
@@ -367,23 +375,12 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
 TEST(Simplify, ConflictCoreStaysWithinAssumptionsAfterInprocessing) {
   // Assumptions reach the search exactly as passed, and the final conflict
   // is reported without translation; it must still name only negated
-  // caller assumptions once BVE and vivification have rewritten the formula
-  // underneath. The refutation needs both g and h, so the core is traced
-  // back through the assumption levels rather than read off a level-0 unit.
-  cnf f;
-  const var h = f.new_var();
-  const var g = guarded_pigeonhole(f, 6, h);
-  const var x = f.new_var();
-  const var y = f.new_var();
-  // Satisfiable side constraints through a helper only BVE touches: it is
-  // never assumed, so elimination resolves it away into (x | y).
-  const var helper = f.new_var();
-  f.add_binary(lit::make(x), lit::make(helper));
-  f.add_binary(~lit::make(helper), lit::make(y));
-
-  solver_options o = inprocessing_options();
-  o.preprocess_delay = 0;  // preprocess (BVE) before any search
-  solver s(o);
+  // caller assumptions once subsumption and vivification have rewritten the
+  // formula underneath. The refutation needs both g and h, so the core is
+  // traced back through the assumption levels rather than read off a level-0
+  // unit.
+  const auto [f, h, g, x, y, helper] = guarded_pigeonhole_with_helper();
+  solver s(inprocessing_options());
   ASSERT_TRUE(s.add_cnf(f));
 
   const std::vector<std::vector<lit>> calls = {
@@ -405,11 +402,48 @@ TEST(Simplify, ConflictCoreStaysWithinAssumptionsAfterInprocessing) {
           << "core literal is not a negated assumption";
     }
   }
-  EXPECT_GT(s.stats().eliminated_vars, 0u);
   EXPECT_GT(s.stats().vivified, 0u);
 
   ASSERT_EQ(s.solve({{~lit::make(g), lit::make(x)}}), solve_result::sat);
   EXPECT_TRUE(model_satisfies(s, f));
+}
+
+TEST(Simplify, ClausesOverAnyVariableStayLegalAfterPreprocessing) {
+  // Once the first UNSAT answer has run the preprocessing pass and later
+  // rounds, a clause over the never-assumed helper is still legal and
+  // composes with everything learned.
+  const auto [f, h, g, x, y, helper] = guarded_pigeonhole_with_helper();
+  solver s(inprocessing_options());
+  ASSERT_TRUE(s.add_cnf(f));
+  ASSERT_EQ(s.solve({{lit::make(g), lit::make(h)}}), solve_result::unsat);
+  // Vivification runs only in the rounds after the one-time preprocessing
+  // pass, so a non-zero count shows the search got past the first round.
+  ASSERT_GT(s.stats().vivified, 0u);
+
+  const std::vector<lit> extra = {~lit::make(helper), ~lit::make(x)};
+  cnf extended = f;
+  extended.add_clause(extra);
+  ASSERT_TRUE(s.add_clause(extra));
+
+  // ~x forces the helper, which forces y.
+  ASSERT_EQ(s.solve({{~lit::make(g), ~lit::make(x)}}), solve_result::sat);
+  EXPECT_TRUE(model_satisfies(s, extended));
+  EXPECT_EQ(s.model_value(lit::make(helper)), lbool::true_value);
+  EXPECT_EQ(s.model_value(lit::make(y)), lbool::true_value);
+
+  const std::vector<lit> refuted = {~lit::make(g), ~lit::make(x),
+                                    ~lit::make(y)};
+  ASSERT_EQ(s.solve(refuted), solve_result::unsat);
+  EXPECT_TRUE(s.okay());
+  for (const lit l : s.conflict_core()) {
+    EXPECT_NE(std::find(refuted.begin(), refuted.end(), ~l), refuted.end())
+        << "core literal is not a negated assumption";
+  }
+  // With x true the new clause forbids the helper.
+  ASSERT_EQ(s.solve({{lit::make(x), lit::make(helper)}}), solve_result::unsat);
+  ASSERT_EQ(s.solve({{lit::make(g), lit::make(h)}}), solve_result::unsat);
+  ASSERT_EQ(s.solve({{~lit::make(g), lit::make(x)}}), solve_result::sat);
+  EXPECT_TRUE(model_satisfies(s, extended));
 }
 
 // ---------------------------------------------------------------------------
@@ -425,8 +459,7 @@ TEST(Simplify, CountersAdvanceAndFlowThroughArithmetic) {
                             lit::make(3)}));
   ASSERT_EQ(s.solve(), solve_result::unsat);
   const solver_stats st = s.stats();
-  EXPECT_GT(st.subsumed + st.strengthened + st.eliminated_vars + st.vivified +
-                st.probed_failed_lits + st.substituted_vars,
+  EXPECT_GT(st.subsumed + st.strengthened + st.vivified + st.probed_failed_lits,
             0u);
 
   solver_stats sum;
@@ -448,7 +481,7 @@ TEST(Simplify, DecayHeuristicsKeepsSolverSound) {
   ASSERT_EQ(s.solve({{lit::make(g)}}), solve_result::unsat);
   s.decay_heuristics();
   ASSERT_EQ(s.solve({{~lit::make(g)}}), solve_result::sat);
-  s.decay_heuristics(/*rephase=*/false);
+  s.decay_heuristics();
   ASSERT_EQ(s.solve({{lit::make(g)}}), solve_result::unsat);
   EXPECT_TRUE(s.okay());
 }

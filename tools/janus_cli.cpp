@@ -24,8 +24,8 @@
 //                  incremental SAT sessions across the dichotomic ladder
 //                  (default: on). See docs/architecture.md.
 //   --inprocess / --no-inprocess
-//                  SAT inprocessing (subsumption, variable elimination,
-//                  vivification, probing; default: on). See docs/solver.md.
+//                  SAT inprocessing (subsumption, vivification, probing;
+//                  default: on). See docs/solver.md.
 //   --stats        print the aggregated SAT solver counters after the run
 //   --cache FILE   persist the NP-canonical solution cache: load FILE when it
 //                  exists, save it back after the run — repeated runs answer
@@ -138,11 +138,10 @@ void print_solver_stats(const janus::sat::solver_stats& s) {
       "%llu restarts\n"
       "        %llu learned, %llu removed, %llu minimized lits\n"
       "        inprocessing: %llu subsumed, %llu strengthened, "
-      "%llu vars eliminated,\n"
-      "        %llu vivified, %llu failed lits probed\n",
+      "%llu vivified, %llu failed lits probed\n",
       u(s.conflicts), u(s.decisions), u(s.propagations), u(s.restarts),
       u(s.learned_clauses), u(s.removed_clauses), u(s.minimized_literals),
-      u(s.subsumed), u(s.strengthened), u(s.eliminated_vars), u(s.vivified),
+      u(s.subsumed), u(s.strengthened), u(s.vivified),
       u(s.probed_failed_lits));
 }
 
