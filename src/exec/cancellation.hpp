@@ -3,9 +3,9 @@
 // A `cancel_source` owns a single atomic stop flag; `cancel_token` is the
 // read-only view handed to workers. Sources form a tree: a source constructed
 // from a parent token is cancelled automatically when the parent fires, so a
-// probe-level cancellation cascades into the primal/dual race it spawned and
-// from there into the in-flight SAT solvers (which poll the raw flag inside
-// their budget checks — see sat::solver::set_stop_flag).
+// target-level cancellation cascades into the probes it fanned out and from
+// there into the in-flight SAT solvers (which poll the raw flag inside their
+// budget checks — see sat::solver::set_stop_flag).
 //
 // Tokens are cheap to copy and safe to outlive their source. A
 // default-constructed token never cancels.

@@ -1,13 +1,13 @@
 // The execution context threaded through the solve pipeline.
 //
-// Every parallel-capable layer (solve_lm's primal/dual race, the dichotomic
-// probe fan-out in janus, the batch front-end) receives one of these instead
-// of spawning threads itself, so a whole batch shares a single pool and a
+// Every parallel-capable layer (the dichotomic probe fan-out in janus, the
+// batch front-end, the backend portfolio) receives one of these instead of
+// spawning threads itself, so a whole batch shares a single pool and a
 // single cancellation tree:
 //
 //   synthesize_batch ── pool ──┬─ target task ── probe fan-out ─┬─ probe task
-//                              │                                │    └─ primal/dual race
-//                              └─ target task …                 └─ probe task …
+//                              │                                └─ probe task …
+//                              └─ target task …
 //
 // `pool == nullptr` means "run sequentially on the calling thread"; that is
 // the jobs=1 fallback everywhere and keeps single-threaded behavior

@@ -3,9 +3,9 @@
 // The pool is a plain FIFO of type-erased jobs. All higher-level fan-out goes
 // through `task_group`, whose wait() *helps*: the waiting thread executes its
 // own group's unclaimed tasks instead of blocking. This makes nested
-// parallelism deadlock-free — a pool worker that runs a probe task which in
-// turn spawns a primal/dual race group and waits on it will drain that inner
-// group itself if no other worker is free. It also gives the jobs=1
+// parallelism deadlock-free — a pool worker that runs a target task which in
+// turn fans out a probe group and waits on it will drain that inner group
+// itself if no other worker is free. It also gives the jobs=1
 // degenerate case for free: a group with a null pool runs every task inline,
 // in submission order, at run() time.
 //

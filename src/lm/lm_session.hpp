@@ -39,9 +39,9 @@
 // be UNSAT, preserving parity.
 //
 // Threading: one lm_session is single-threaded. The pool hands out sessions
-// under a lock — concurrent probes (the dichotomic fan-out, the primal/dual
-// race) each lease their own session, so jobs=1 gets perfect reuse and
-// jobs=N trades some sharing for parallelism. Cancellation is safe at every
+// under a lock — concurrent probes (the dichotomic fan-out) each lease their
+// own session, so jobs=1 gets perfect reuse and jobs=N trades some sharing
+// for parallelism. Cancellation is safe at every
 // point: an aborted solve() returns unknown, keeps all learned clauses, and
 // the session is immediately reusable.
 #pragma once

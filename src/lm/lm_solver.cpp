@@ -17,18 +17,14 @@ struct side_run {
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
   sat::solver_stats stats;
-
-  [[nodiscard]] bool definitive() const {
-    return verdict != sat::solve_result::unknown;
-  }
 };
 
-/// Encode and solve one side under `stop`; the stop flag aborts the solve
-/// mid-search (and skips the whole side when raised before the encode).
-/// Session mode leases a persistent solver; scratch mode builds fresh.
+/// Encode and solve one side; the cancel token aborts the solve mid-search
+/// (and skips the whole side when raised before the encode). Session mode
+/// leases a persistent solver; scratch mode builds fresh.
 side_run run_side(const target_spec& target, const lattice_info& info,
-                  bool dual_side, const lm_options& options, deadline budget,
-                  const exec::cancel_token& stop) {
+                  bool dual_side, const lm_options& options, deadline budget) {
+  const exec::cancel_token& stop = options.exec.cancel;
   side_run out;
   if (stop.cancelled() || budget.expired()) {
     return out;
@@ -109,50 +105,6 @@ void fill_result(lm_result& result, side_run&& run, bool dual_side,
   }
 }
 
-/// Race the primal and dual encodings on two workers; first definitive
-/// answer wins and cancels the sibling. Both sides answer the same question
-/// (tests/test_duality_props.cpp verifies the equivalence), so which side
-/// wins only affects wall-clock and the concrete witness, never the verdict.
-lm_result solve_lm_race(const target_spec& target, const lattice_info& info,
-                        const lm_options& options, deadline budget,
-                        bool dual_cheaper) {
-  // Index 0 = primal, 1 = dual; each side gets its own stop source linked
-  // under the external token so an outer cancellation still reaches both.
-  exec::cancel_source stops[2] = {exec::cancel_source(options.exec.cancel),
-                                  exec::cancel_source(options.exec.cancel)};
-  side_run runs[2];
-  {
-    exec::task_group group(options.exec.pool);
-    // Submit the estimated-cheaper side first: under a saturated pool the
-    // waiter steals tasks in order, degenerating to the sequential
-    // cheaper-side-first heuristic instead of doubling the work.
-    const int order[2] = {dual_cheaper ? 1 : 0, dual_cheaper ? 0 : 1};
-    for (const int side : order) {
-      group.run([&target, &info, &options, budget, &stops, &runs, side] {
-        runs[side] = run_side(target, info, side == 1, options, budget,
-                              stops[side].token());
-        if (runs[side].definitive()) {
-          stops[1 - side].request_cancel();
-        }
-      });
-    }
-    group.wait();
-  }
-
-  lm_result result;
-  result.solver += runs[0].stats;
-  result.solver += runs[1].stats;
-  // Deterministic preference when both sides settled: the estimated-cheaper
-  // side, matching what the sequential path would have reported.
-  const int preferred = dual_cheaper ? 1 : 0;
-  const int winner = runs[preferred].definitive() ? preferred
-                     : runs[1 - preferred].definitive()
-                         ? 1 - preferred
-                         : preferred;
-  fill_result(result, std::move(runs[winner]), winner == 1, target, options);
-  return result;
-}
-
 }  // namespace
 
 lm_result solve_lm(const target_spec& target, const lattice_info& info,
@@ -204,26 +156,20 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
     return result;
   }
 
-  if (options.exec.parallel() && primal_feasible && dual_feasible) {
-    result = solve_lm_race(target, info, options, budget,
-                           /*dual_cheaper=*/dual_estimate < primal_estimate);
-  } else {
-    // Sequential fallback: pick the side with the smaller estimated clause
-    // count and construct only that encoder — the loser is never built, so
-    // peak encode memory is one formula, not two.
-    const bool use_dual =
-        dual_feasible && (!primal_feasible || dual_estimate < primal_estimate);
-    side_run run = run_side(target, info, use_dual, options, budget,
-                            options.exec.cancel);
-    result.solver += run.stats;
-    if (!run.ran) {
-      // Cancelled or out of budget before the encode started.
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
-      return result;
-    }
-    fill_result(result, std::move(run), use_dual, target, options);
+  // Pick the side with the smaller estimated clause count and construct only
+  // that encoder — the other is never built, so peak encode memory is one
+  // formula, not two.
+  const bool use_dual =
+      dual_feasible && (!primal_feasible || dual_estimate < primal_estimate);
+  side_run run = run_side(target, info, use_dual, options, budget);
+  result.solver += run.stats;
+  if (!run.ran) {
+    // Cancelled or out of budget before the encode started.
+    result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
+                                                    : lm_status::unknown;
+    return result;
   }
+  fill_result(result, std::move(run), use_dual, target, options);
   // Either side proving genuine unrealizability (rule-free UNSAT core)
   // extends the frontier: both sides decide the same question, so a hard
   // UNSAT from the dual view prunes future primal probes just the same.

@@ -6,17 +6,13 @@
 // paths) decide the same question; a timeout is treated as "not realizable on
 // this lattice" by callers — the designed source of approximation.
 //
-// Execution modes (selected by `lm_options::exec`):
-//   * sequential (exec.pool == nullptr, the jobs=1 fallback): the side with
-//     the smaller estimated clause count is built and solved; the loser is
-//     never constructed, halving peak encode memory versus building both.
-//   * racing (a pool is available): both sides are encoded and solved on two
-//     workers; the first definitive SAT/UNSAT answer wins and cancels the
-//     sibling mid-solve via its stop flag. Wall-clock becomes min(primal,
-//     dual) instead of the estimate-picked side, and a wrong cheapness
-//     estimate no longer costs anything.
+// One call solves one side, on the calling thread: the side with the smaller
+// estimated clause count is built and solved, and the other is never
+// constructed, halving peak encode memory versus building both. (Racing both
+// sides on two workers was measured and removed: it added CPU time, conflicts
+// and memory to a parallel ladder without shortening its wall time.)
 //
-// Orthogonally, `lm_options::sessions` switches each side from the scratch
+// Orthogonally, `lm_options::sessions` switches the side from the scratch
 // encoder+solver to a leased incremental session (see lm_session.hpp): the
 // same verdicts, but learned clauses persist across the caller's probe
 // ladder and proven-unrealizable dimensions short-circuit dominated probes.
@@ -36,7 +32,7 @@ enum class lm_status : std::uint8_t {
   unrealizable,  ///< UNSAT (under the active heuristic rules) or structural fail
   unknown,       ///< budget expired before an answer
   skipped,       ///< lattice too large to encode (path cap exceeded)
-  cancelled,     ///< externally cancelled (a racing sibling already answered)
+  cancelled,     ///< externally cancelled (a sibling candidate settled the step)
 };
 
 struct lm_options {
@@ -46,17 +42,17 @@ struct lm_options {
   /// be constructed with the same value.
   sat::solver_options solver = default_lm_solver_options();
   double sat_time_limit_s = 1200.0;  // the paper's empirically chosen limit
-  std::int64_t conflict_budget = -1;
+  std::int64_t conflict_budget = -1;  ///< per call; -1 = unlimited
   bool allow_dual_problem = true;
   /// Candidates whose cheaper side would still exceed this many clauses are
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).
   std::uint64_t max_encoding_clauses = 4'000'000;
-  /// Pool + cancellation. A null pool runs the sequential path; with a pool,
-  /// primal and dual race whenever both sides fit the clause budget.
+  /// Cancellation. The call itself runs on the calling thread whether or not
+  /// `exec.pool` is set.
   exec::context exec;
-  /// Incremental sessions (nullptr = scratch mode). When set, each side of a
-  /// probe leases a persistent per-(target, side) solver from this pool
+  /// Incremental sessions (nullptr = scratch mode). When set, the solved side
+  /// of a probe leases a persistent per-(target, side) solver from this pool
   /// instead of building a fresh encoder + solver, keeping learned clauses
   /// across the dichotomic ladder; rule-free UNSAT cores feed the pool's
   /// frontier and dominated dimensions are answered without solving. The
@@ -82,8 +78,8 @@ struct lm_result {
   lm_encoding_stats encoding;
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
-  /// Accumulated SAT counters of every solver this call ran (both race sides
-  /// when racing); batch synthesis aggregates these across targets.
+  /// SAT counters of the solver this call ran; batch synthesis aggregates
+  /// these across targets.
   sat::solver_stats solver;
 };
 

@@ -811,8 +811,6 @@ solve_result solver::solve(std::span<const lit> assumptions) {
   next_reduce_ = stats_.conflicts + static_cast<std::uint64_t>(options_.reduce_base);
   reductions_done_ = 0;
 
-  solve_result status = solve_result::unknown;
-
   // Deferred preprocessing: book the first round kPreprocessDelay conflicts
   // ahead instead of running it here, so only formulas that prove hard get
   // simplified.
@@ -820,27 +818,23 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     inprocess_scheduled_ = true;
     next_inprocess_ = stats_.conflicts + kPreprocessDelay;
   }
-  if (!ok_) {
-    status = solve_result::unsat;
-  }
 
   // Assumption-aware trail saving: the decision levels of the previous
   // call's assumption prefix that this call shares are kept as-is, so their
   // propagation work is not repaid. (Each assumption owns exactly one
   // decision level — dummy levels included — hence level i <=> assumption
   // i-1 and a prefix match directly bounds the backtrack target.)
-  if (status == solve_result::unknown) {
-    int keep = 0;
-    const int max_keep = std::min({static_cast<int>(assumptions_.size()),
-                                   static_cast<int>(prev_assumptions_.size()),
-                                   decision_level()});
-    while (keep < max_keep && assumptions_[keep] == prev_assumptions_[keep]) {
-      ++keep;
-    }
-    cancel_until(keep);
-    prev_assumptions_ = assumptions_;
+  int keep = 0;
+  const int max_keep = std::min({static_cast<int>(assumptions_.size()),
+                                 static_cast<int>(prev_assumptions_.size()),
+                                 decision_level()});
+  while (keep < max_keep && assumptions_[keep] == prev_assumptions_[keep]) {
+    ++keep;
   }
+  cancel_until(keep);
+  prev_assumptions_ = assumptions_;
 
+  solve_result status = solve_result::unknown;
   while (status == solve_result::unknown) {
     if (deadline_.expired()) {
       deadline_hit_ = true;

@@ -83,9 +83,11 @@ struct solver_stats {
   std::uint64_t vivified = 0;            ///< learned clauses shrunk by vivification
   std::uint64_t probed_failed_lits = 0;  ///< failed literals found by probing
   std::uint64_t substituted_vars = 0;    ///< always 0; kept for JSON readers
+
+  friend bool operator==(const solver_stats&, const solver_stats&) = default;
 };
 
-/// Accumulate counters across solver instances (per-probe, per-race side,
+/// Accumulate counters across solver instances (per-probe, per-slice,
 /// per-batch-target aggregation in the parallel engine).
 inline solver_stats& operator+=(solver_stats& lhs, const solver_stats& rhs) {
   lhs.decisions += rhs.decisions;
@@ -181,7 +183,7 @@ class solver {
   /// External stop flag, polled inside the budget checks (per conflict and
   /// every 256 decisions). Raising it makes an in-flight solve() return
   /// `unknown` promptly — the cancellation hook the parallel execution
-  /// engine uses when a racing sibling already answered. The flag must
+  /// engine uses when a sibling probe already settled the step. The flag must
   /// outlive the solve() call; nullptr (the default) disables the check.
   void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
   [[nodiscard]] bool stopped_externally() const {

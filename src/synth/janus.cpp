@@ -10,6 +10,14 @@
 
 namespace janus::synth {
 
+namespace {
+
+/// Conflicts in the first slice when equal-area candidates share a jobs=1
+/// step; each later round doubles it.
+constexpr std::int64_t kFirstSliceConflicts = 1000;
+
+}  // namespace
+
 using lattice::cell_assign;
 using lattice::dims;
 using lattice::lattice_mapping;
@@ -134,11 +142,12 @@ janus_synthesizer::probe_outcome janus_synthesizer::probe(
     util::lock_guard lock(memo_mutex_);
     sat_totals_ += r.solver;
     // Only definitive answers are worth caching: an unknown may resolve with
-    // a fresh budget, and a cancelled probe never really ran. (A probe ranked
-    // past the winner can still finish definitively before its cancel lands
-    // and get cached here — harmless for determinism, because its area is at
-    // least the winner's and every later dichotomic step probes strictly
-    // smaller areas, so the entry is never consulted again.)
+    // a fresh budget (or a longer slice), and a cancelled probe never really
+    // ran. (A probe cancelled by a SAT sibling can still finish definitively
+    // before its cancel lands and get cached here — harmless for
+    // determinism, because its area is at least the winner's and every later
+    // dichotomic step probes strictly smaller areas, so the entry is never
+    // consulted again.)
     if (r.status != lm::lm_status::unknown &&
         r.status != lm::lm_status::cancelled) {
       probe_memo_[key] = r;
@@ -166,7 +175,6 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   std::vector<std::uint8_t> pruned(n, 0);
   if (sessions_ != nullptr) {
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.pool = nullptr;
     lm_options.exec.cancel = options_.exec.cancel;
     lm_options.sessions = sessions_;
     for (std::size_t i = 0; i < n; ++i) {
@@ -179,37 +187,48 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   }
 
   if (pool == nullptr) {
-    // Sequential jobs=1 fallback: canonical order, stop at the first
-    // realizable candidate — by construction the same winner the parallel
-    // branch selects.
+    // Sequential jobs=1 path: one area at a time, smallest first, until an
+    // area settles. Candidates of one area are contiguous in canonical
+    // order; a lone one is probed outright, several share the area in
+    // conflict slices so that a quick SAT sibling is not stuck behind a
+    // long UNSAT proof it makes unnecessary.
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.pool = nullptr;
     lm_options.exec.cancel = options_.exec.cancel;  // aborts in-flight solves
     lm_options.sessions = sessions_;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pruned[i] != 0) {
-        continue;
+    bool settled = false;
+    for (std::size_t first = 0, last = 0;
+         first < n && !settled && !stopped(budget); first = last) {
+      std::vector<std::size_t> members;
+      for (last = first;
+           last < n && candidates[last].size() == candidates[first].size();
+           ++last) {
+        if (pruned[last] == 0) {
+          members.push_back(last);
+        }
       }
-      if (budget.expired() || options_.exec.cancel.cancelled()) {
-        break;
-      }
-      outcomes[i] = probe(target, candidates[i], budget, lm_options);
-      probed[i] = 1;
-      if (outcomes[i].result.status == lm::lm_status::realizable) {
-        break;
+      if (members.size() == 1) {
+        const std::size_t i = members.front();
+        outcomes[i] = probe(target, candidates[i], budget, lm_options);
+        probed[i] = 1;
+        settled = outcomes[i].result.status == lm::lm_status::realizable;
+      } else if (!members.empty()) {
+        settled = probe_area_sliced(target, candidates, members, budget,
+                                    lm_options, outcomes, probed);
       }
     }
-  } else if (!budget.expired() && !options_.exec.cancel.cancelled()) {
-    // Fan out every candidate; a SAT answer at rank i cancels only ranks
-    // > i (they cannot win selection), so every rank below the eventual
-    // winner always completes and the selection is deterministic.
+  } else if (!stopped(budget)) {
+    // Fan out every candidate. A SAT answer at rank i cancels every other
+    // rank of area ≥ area(i): none of them can beat it on size. Smaller
+    // areas are never cancelled by a SAT answer, so every one of them
+    // completes and the winner's size is the smallest realizable area,
+    // whatever the completion order.
     std::vector<exec::cancel_source> stops;
     stops.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       stops.emplace_back(options_.exec.cancel);
     }
     util::mutex step_mutex;
-    std::size_t best_rank = n;
+    int best_area = mp + 1;
     exec::task_group group(pool);
     for (std::size_t i = 0; i < n; ++i) {
       if (pruned[i] != 0) {
@@ -217,17 +236,19 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
       }
       group.run([&, i] {
         lm::lm_options lm_options = options_.lm;
-        lm_options.exec.pool = pool;
         lm_options.exec.cancel = stops[i].token();
         lm_options.sessions = sessions_;
         outcomes[i] = probe(target, candidates[i], budget, lm_options);
         probed[i] = 1;
         if (outcomes[i].result.status == lm::lm_status::realizable) {
+          const int area = candidates[i].size();
           util::lock_guard lock(step_mutex);
-          if (i < best_rank) {
-            best_rank = i;
-            for (std::size_t j = i + 1; j < n; ++j) {
-              stops[j].request_cancel();
+          if (area < best_area) {
+            best_area = area;
+            for (std::size_t j = 0; j < n; ++j) {
+              if (j != i && candidates[j].size() >= area) {
+                stops[j].request_cancel();
+              }
             }
           }
         }
@@ -236,7 +257,9 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     group.wait();
   }
 
-  // Records appear in canonical order regardless of completion order.
+  // Records appear in canonical order regardless of completion order. The
+  // first realizable record has the smallest realizable area; among equal
+  // areas it is the lowest rank that finished.
   std::optional<lattice_mapping> winner;
   for (std::size_t i = 0; i < n; ++i) {
     if (probed[i] == 0) {
@@ -253,6 +276,71 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     }
   }
   return winner;
+}
+
+bool janus_synthesizer::probe_area_sliced(
+    const target_spec& target, const std::vector<dims>& candidates,
+    std::vector<std::size_t> members, deadline budget,
+    const lm::lm_options& lm_options, std::vector<probe_outcome>& outcomes,
+    std::vector<std::uint8_t>& probed) {
+  // Each member's solve time and conflicts summed over its slices: the
+  // caller's time limit and conflict budget bound these sums, as they bound
+  // one unsliced probe, so timeout-as-UNSAT keeps its meaning.
+  std::vector<double> solve_seconds(candidates.size(), 0.0);
+  std::vector<std::int64_t> conflicts(candidates.size(), 0);
+  const std::int64_t conflict_cap = lm_options.conflict_budget;  // <0: none
+  bool settled = false;
+  // `members` holds the ranks still undecided with limits to spare, in
+  // canonical order. Each round gives each one slice, twice as long as the
+  // round before; the first realizable answer settles the area.
+  for (std::int64_t slice = kFirstSliceConflicts;
+       !members.empty() && !settled && !stopped(budget); slice *= 2) {
+    std::vector<std::size_t> paused;
+    for (const std::size_t i : members) {
+      if (settled || stopped(budget)) {
+        paused.push_back(i);
+        continue;
+      }
+      lm::lm_options sliced = lm_options;
+      sliced.sat_time_limit_s = lm_options.sat_time_limit_s - solve_seconds[i];
+      sliced.conflict_budget =
+          conflict_cap < 0 ? slice
+                           : std::min(slice, conflict_cap - conflicts[i]);
+      const double seconds_before = outcomes[i].seconds;
+      outcomes[i] = probe(target, candidates[i], budget, sliced);
+      outcomes[i].seconds += seconds_before;
+      probed[i] = 1;
+      const lm::lm_result& r = outcomes[i].result;
+      solve_seconds[i] += r.solve_seconds;
+      conflicts[i] += static_cast<std::int64_t>(r.solver.conflicts);
+      if (r.status == lm::lm_status::realizable) {
+        settled = true;
+        continue;
+      }
+      // Paused: the slice ran out of conflicts while the member's own limits
+      // have room. Any other unknown is final (a timeout).
+      const bool slice_spent =
+          static_cast<std::int64_t>(r.solver.conflicts) >=
+          sliced.conflict_budget;
+      const bool limits_left =
+          solve_seconds[i] < lm_options.sat_time_limit_s &&
+          (conflict_cap < 0 || conflicts[i] < conflict_cap);
+      if (r.status == lm::lm_status::unknown && slice_spent && limits_left) {
+        paused.push_back(i);
+      }
+    }
+    members = std::move(paused);
+  }
+  // Members still paused never got a verdict. Once the area has settled
+  // they need none, and after an external cancel they will get none.
+  if (settled || options_.exec.cancel.cancelled()) {
+    for (const std::size_t i : members) {
+      if (probed[i] != 0) {
+        outcomes[i].result.status = lm::lm_status::cancelled;
+      }
+    }
+  }
+  return settled;
 }
 
 janus_result janus_synthesizer::run(const target_spec& target) {
@@ -351,7 +439,7 @@ janus_result janus_synthesizer::run(const target_spec& target) {
   int lo = result.lower_bound;
   int hi = best.size();
   while (lo < hi) {
-    if (budget.expired() || options_.exec.cancel.cancelled()) {
+    if (stopped(budget)) {
       result.hit_time_limit = true;
       break;
     }
@@ -363,7 +451,7 @@ janus_result janus_synthesizer::run(const target_spec& target) {
       hi = best.size();
       continue;
     }
-    if (budget.expired() || options_.exec.cancel.cancelled()) {
+    if (stopped(budget)) {
       // The step was cut short; "no winner" proves nothing about mp.
       result.hit_time_limit = true;
       break;

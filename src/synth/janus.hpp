@@ -3,8 +3,9 @@
 //   1. Compute the lower bound (structural scan) and the initial upper bound
 //      (best of DP, PS, DPS, IPS, IDPS and DS — each a verified realization).
 //   2. Dichotomic search between them: probe the middle size mp, generate the
-//      maximal dimension pairs with area ≤ mp, and solve one LM problem per
-//      candidate. A SAT answer tightens the upper bound to the found size;
+//      maximal dimension pairs with area ≤ mp, and solve LM problems until
+//      the smallest realizable area among them is known (see probe_step).
+//      A SAT answer tightens the upper bound to the found size;
 //      all-UNSAT (or timeout, treated as UNSAT — the approximation) raises
 //      the lower bound to mp + 1.
 //
@@ -12,6 +13,7 @@
 // (see baselines.hpp) and the DS / JANUS-MF building blocks.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,8 +37,8 @@ struct janus_options {
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
-  /// Worker threads for the dichotomic probe fan-out and the primal/dual
-  /// race. 1 (the default) keeps the fully sequential pipeline. When
+  /// Worker threads for the dichotomic probe fan-out. 1 (the default) keeps
+  /// the fully sequential pipeline. When
   /// `exec.pool` is null and jobs > 1, run() creates its own pool; batch
   /// synthesis instead shares one pool across targets via `exec`.
   int jobs = 1;
@@ -92,7 +94,8 @@ class no_upper_bound_error : public check_error {
   using check_error::check_error;
 };
 
-/// One dichotomic-search probe, for reporting.
+/// One dichotomic-search candidate, for reporting: its final verdict and its
+/// seconds summed over every slice it ran.
 struct probe_record {
   lattice::dims d;
   lm::lm_status status;
@@ -108,7 +111,7 @@ struct janus_result {
   double seconds = 0.0;
   bool hit_time_limit = false;
   std::vector<probe_record> probes;
-  /// SAT counters summed over every dichotomic probe (all race sides).
+  /// SAT counters summed over every dichotomic probe (every slice).
   sat::solver_stats sat_totals;
   /// Dichotomic-ladder probes answered from the UNSAT frontier without
   /// solving (session mode). Counts the run-level pool only — like
@@ -133,9 +136,9 @@ struct janus_result {
 /// Maximal dimension pairs with area ≤ s (pairs dominated by another pair in
 /// both coordinates are dropped — realizability is monotone in rows and
 /// columns, which tests/lattice property tests verify). Returned in the
-/// canonical probe order — area ascending, then lexicographic (rows, cols) —
-/// which both the sequential and the parallel dichotomic step use to select
-/// the winning candidate, so results are independent of completion order.
+/// canonical probe order — area ascending, then lexicographic (rows, cols):
+/// candidates of one area are contiguous, and the dichotomic step logs and
+/// selects in this order, independent of completion order.
 [[nodiscard]] std::vector<lattice::dims> lattice_candidates(int max_area);
 
 class janus_synthesizer {
@@ -173,21 +176,53 @@ class janus_synthesizer {
     bool from_cache = false;
   };
 
+  /// The overall budget expired or the run was cancelled externally.
+  [[nodiscard]] bool stopped(deadline budget) const {
+    return budget.expired() || options_.exec.cancel.cancelled();
+  }
+
   /// Probe one dimension pair, memoized across the binary search.
   /// Thread-safe: called concurrently by the probe fan-out.
   probe_outcome probe(const lm::target_spec& target, const lattice::dims& d,
                       deadline budget, const lm::lm_options& lm_options);
 
-  /// One dichotomic step: probe every lattice_candidates(mp) entry —
-  /// concurrently when `pool` is non-null — and return the realization of
-  /// the first candidate (in canonical order) that is realizable. A SAT
-  /// answer cancels every candidate ranked after it; lower-ranked probes
-  /// always finish, keeping the selected winner deterministic. In session
-  /// mode, candidates dominated by the UNSAT frontier are answered
-  /// unrealizable up front (logged with zero solve time) instead of probed.
+  /// One dichotomic step: decide the lattice_candidates(mp) entries and
+  /// return a realization of *minimal area* among them, or nothing when none
+  /// is realizable. The area is the switch count, so once one candidate of
+  /// an area is realizable, no candidate of equal or larger area needs a
+  /// verdict; every smaller area is still decided.
+  ///   * jobs=1 (`pool` null): areas in ascending order. An area with two or
+  ///     more unpruned candidates is decided by probe_area_sliced; a lone
+  ///     candidate is probed outright.
+  ///   * jobs=N: every candidate is probed concurrently on `pool`. A SAT
+  ///     answer at rank i cancels every other rank of area ≥ area(i); the
+  ///     winner is the realizable record of smallest area, and among equal
+  ///     areas the lowest rank that finished.
+  /// Sizes and bounds are therefore identical at every jobs level. The
+  /// winner's dims may differ between jobs=1 and jobs=N, but only among
+  /// equal-area candidates that are both realizable. Each candidate that
+  /// ran gets one `probe_record` in canonical order; a candidate dropped
+  /// because its area settled is logged `cancelled`. In session mode,
+  /// candidates dominated by the UNSAT frontier are answered unrealizable up
+  /// front (logged with zero solve time) instead of probed.
   std::optional<lattice::lattice_mapping> probe_step(
       const lm::target_spec& target, int mp, deadline budget,
       exec::thread_pool* pool, std::vector<probe_record>& log);
+
+  /// The jobs=1 decision of one area's unpruned candidates (`members`,
+  /// canonical ranks into `candidates`): they take turns under conflict
+  /// slices that double each round, so the schedule depends on conflict
+  /// counts only and stays deterministic. `lm_options.sat_time_limit_s` and
+  /// `conflict_budget` bound each member's sums over its slices. Returns
+  /// true once a member is realizable; members still paused then are
+  /// relabelled `cancelled`. Fills `outcomes` (seconds summed over slices)
+  /// and `probed` for every member that ran.
+  bool probe_area_sliced(const lm::target_spec& target,
+                         const std::vector<lattice::dims>& candidates,
+                         std::vector<std::size_t> members, deadline budget,
+                         const lm::lm_options& lm_options,
+                         std::vector<probe_outcome>& outcomes,
+                         std::vector<std::uint8_t>& probed);
 
   janus_options options_;
   lm::lattice_info_cache cache_;

@@ -1,7 +1,7 @@
-// Tests for the parallel solve pipeline: solver cancellation, the
-// primal/dual race, determinism of the dichotomic probe fan-out (jobs=1 vs
-// jobs=8 must report bit-identical bounds and solution sizes), and the batch
-// synthesis API.
+// Tests for the parallel solve pipeline: solver cancellation, solve_lm with a
+// pool, determinism of the dichotomic probe fan-out (jobs=1 vs jobs=8 must
+// report bit-identical bounds and solution sizes), the minimal-area contract
+// of one dichotomic step, and the batch synthesis API.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -83,8 +83,10 @@ TEST(SolverCancellation, ClearedFlagDoesNotDisturbSolving) {
   EXPECT_TRUE(s.model_bool(b));
 }
 
-TEST(PrimalDualRace, AgreesWithSequentialPath) {
-  exec::thread_pool pool(2);
+TEST(SolveLmWithPool, AgreesWithSequentialPath) {
+  // A pool in lm_options changes nothing about one LM call: it solves the
+  // side the sequential path picks and returns the same verdict.
+  exec::thread_pool pool(4);
   lm::lattice_info_cache cache;
   const struct {
     const char* text;
@@ -100,10 +102,12 @@ TEST(PrimalDualRace, AgreesWithSequentialPath) {
     const target_spec t = target_spec::parse(c.vars, c.text);
     lm::lm_options sequential;
     const lm::lm_result seq = lm::solve_lm(t, cache.get(c.d), sequential);
-    lm::lm_options racing;
-    racing.exec.pool = &pool;
-    const lm::lm_result par = lm::solve_lm(t, cache.get(c.d), racing);
+    lm::lm_options pooled;
+    pooled.exec.pool = &pool;
+    const lm::lm_result par = lm::solve_lm(t, cache.get(c.d), pooled);
     EXPECT_EQ(seq.status, par.status) << c.text << " on " << c.d.str();
+    EXPECT_EQ(seq.used_dual_problem, par.used_dual_problem)
+        << c.text << " on " << c.d.str();
     if (par.status == lm::lm_status::realizable) {
       ASSERT_TRUE(par.mapping.has_value());
       EXPECT_TRUE(par.mapping->realizes(t.function())) << c.text;
@@ -112,7 +116,7 @@ TEST(PrimalDualRace, AgreesWithSequentialPath) {
   }
 }
 
-TEST(PrimalDualRace, ExternalCancellationWins) {
+TEST(SolveLmWithPool, ExternalCancellationWins) {
   exec::thread_pool pool(2);
   lm::lattice_info_cache cache;
   const target_spec t = target_spec::parse(3, "ab + b'c");
@@ -143,6 +147,15 @@ std::vector<target_spec> small_table2_targets() {
   return targets;
 }
 
+bool any_unknown(const synth::janus_result& r) {
+  for (const synth::probe_record& p : r.probes) {
+    if (p.status == lm::lm_status::unknown) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(ProbeFanOut, Jobs8MatchesJobs1OnTableIISmallInstances) {
   for (const target_spec& t : small_table2_targets()) {
     synth::janus_options sequential = test_options();
@@ -163,7 +176,68 @@ TEST(ProbeFanOut, Jobs8MatchesJobs1OnTableIISmallInstances) {
     EXPECT_EQ(seq.new_upper_bound, par.new_upper_bound) << t.name();
     EXPECT_FALSE(par.hit_time_limit) << t.name();
     EXPECT_TRUE(par.solution->realizes(t.function())) << t.name();
+    EXPECT_FALSE(any_unknown(seq)) << t.name();
+    EXPECT_FALSE(any_unknown(par)) << t.name();
   }
+}
+
+const synth::probe_record* find_probe(const synth::janus_result& r,
+                                      lattice::dims d) {
+  for (const synth::probe_record& p : r.probes) {
+    if (p.d == d) {
+      return &p;
+    }
+  }
+  return nullptr;
+}
+
+/// b12_00 runs a few seconds per ladder in a release build and ~20 s under
+/// TSan; the budgets leave room for slow sanitizer hosts, because a timed-out
+/// probe would end `unknown` and fail the checks below for the wrong reason.
+synth::janus_options b12_options(int jobs) {
+  synth::janus_options o = test_options();
+  o.time_limit_s = 900.0;
+  o.lm.sat_time_limit_s = 300.0;
+  o.jobs = jobs;
+  return o;
+}
+
+// b12_00's size-15 step has a 5x3 candidate that is SAT within a few hundred
+// conflicts and a 3x5 sibling of the same area whose UNSAT proof takes tens
+// of thousands. The step needs only the smallest realizable area, so the
+// 5x3 answer settles it and the 3x5 probe is dropped, not proven.
+TEST(ProbeStep, EqualAreaSiblingIsCancelledOnceTheAreaSettlesAtJobs1) {
+  const target_spec t = instances::make_table2_instance("b12_00");
+  const synth::janus_options o = b12_options(1);
+  synth::janus_synthesizer first_engine(o);
+  const synth::janus_result first = first_engine.run(t);
+  ASSERT_TRUE(first.solution.has_value());
+  EXPECT_EQ(first.solution_size(), 15);
+  EXPECT_FALSE(first.hit_time_limit);
+  EXPECT_FALSE(any_unknown(first));
+  const synth::probe_record* tall = find_probe(first, {5, 3});
+  const synth::probe_record* wide = find_probe(first, {3, 5});
+  ASSERT_NE(tall, nullptr);
+  ASSERT_NE(wide, nullptr);
+  EXPECT_EQ(tall->status, lm::lm_status::realizable);
+  EXPECT_EQ(wide->status, lm::lm_status::cancelled);
+
+  // The slice schedule depends on conflict counts only.
+  synth::janus_synthesizer second_engine(o);
+  const synth::janus_result second = second_engine.run(t);
+  EXPECT_TRUE(first.sat_totals == second.sat_totals);
+  EXPECT_EQ(first.probes.size(), second.probes.size());
+}
+
+TEST(ProbeStep, FanOutSettlesB12AtTheSameSizeAtJobs4) {
+  const target_spec t = instances::make_table2_instance("b12_00");
+  synth::janus_synthesizer engine(b12_options(4));
+  const synth::janus_result r = engine.run(t);
+  ASSERT_TRUE(r.solution.has_value());
+  EXPECT_EQ(r.solution_size(), 15);
+  EXPECT_FALSE(r.hit_time_limit);
+  EXPECT_FALSE(any_unknown(r));
+  EXPECT_TRUE(r.solution->realizes(t.function()));
 }
 
 TEST(Batch, ParallelBatchMatchesSequentialAndPreservesOrder) {

@@ -19,7 +19,7 @@
 //   -s SECONDS     per-SAT-call limit (default 10)
 //   -j N, --jobs N worker threads in [1, 4096] (default 1: fully
 //                  sequential). N >= 2 enables the dichotomic probe
-//                  fan-out, the primal/dual race, and batch sharding.
+//                  fan-out and batch sharding.
 //   --incremental / --no-incremental
 //                  incremental SAT sessions across the dichotomic ladder
 //                  (default: on). See docs/architecture.md.
@@ -453,12 +453,6 @@ int cmd_map(const cli_config& cfg) {
   janus::lm::lm_options o;
   o.sat_time_limit_s = cfg.sat_limit;
   o.solver = make_solver_options(cfg);
-  std::unique_ptr<janus::exec::thread_pool> pool;
-  if (cfg.jobs > 1) {
-    pool = std::make_unique<janus::exec::thread_pool>(
-        static_cast<std::size_t>(cfg.jobs));
-    o.exec.pool = pool.get();  // enables the primal/dual race
-  }
   const auto r = janus::lm::solve_lm(
       target, cache.get({rows, cols}), o,
       janus::deadline::in_seconds(cfg.time_limit));
