@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
   janus::synth::janus_options base;
   base.time_limit_s = full ? 120.0 : 30.0;
   base.lm.sat_time_limit_s = full ? 30.0 : 10.0;
-  base.jobs = 1;
 
   std::vector<instance_report> reports;
   mode_totals scratch_sum;

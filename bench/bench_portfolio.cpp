@@ -51,14 +51,15 @@ struct solo_run {
   bool verified = true;    ///< realization passed its oracle (when present)
 };
 
+/// `pool` null = jobs=1; the determinism rerun hands in a pool of 4.
 backend_result run_solo(const std::string& name,
                         const janus::lm::target_spec& target, double budget_s,
-                        int jobs) {
+                        janus::exec::thread_pool* pool) {
   const auto engine = janus::backend::make_backend(name);
   janus::backend::backend_request request;
   request.target = target;
   request.dl = janus::deadline::in_seconds(budget_s);
-  request.jobs = jobs;
+  request.base.pool = pool;
   request.base.time_limit_s = budget_s;
   request.base.lm.sat_time_limit_s = budget_s;
   return engine->run(request);
@@ -111,6 +112,7 @@ int main(int argc, char** argv) {
     sound[name] = true;
   }
 
+  janus::exec::thread_pool pool4(4);
   std::vector<std::map<std::string, solo_run>> solo(targets.size());
   std::vector<janus::synth::portfolio_result> races(targets.size());
   std::vector<double> min_solo_wall(targets.size(), 0.0);
@@ -119,7 +121,7 @@ int main(int argc, char** argv) {
     double fastest = budget_s * 2.0;
     for (const std::string& name : bench_backends()) {
       solo_run run;
-      run.result = run_solo(name, targets[i], budget_s, 1);
+      run.result = run_solo(name, targets[i], budget_s, nullptr);
       if (run.result.status == backend_status::failed) {
         sound[name] = false;
         any_failed = true;
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
         // Determinism column: the same backend at jobs=4 must land on the
         // same cost (PR 1 contract for the lattice engines; the ESOP and
         // chain encodings do not consult the knob at all).
-        const backend_result rerun = run_solo(name, targets[i], budget_s, 4);
+        const backend_result rerun = run_solo(name, targets[i], budget_s, &pool4);
         if (rerun.status == backend_status::solved) {
           run.jobs4_cost = rerun.cost();
           run.jobs_match = rerun.cost() == run.result.cost();

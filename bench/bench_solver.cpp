@@ -5,8 +5,9 @@
 // buys (docs/solver.md): each target's ladder — the nontrivial dims of its
 // default dichotomic search — is replayed through solve_lm in all four
 // configurations {scratch, session} x {inprocess off, on}. Per row it
-// records wall and solver seconds, conflicts, propagations and the six
-// simplification counters; every configuration must report the same
+// records wall and solver seconds, conflicts, propagations and the four
+// simplification counters that can fire (subsumed, strengthened, vivified,
+// failed-literal probes); every configuration must report the same
 // realization size (the bench exits non-zero otherwise — simplification is
 // a pure transformation, never an approximation).
 //
@@ -182,13 +183,11 @@ int main(int argc, char** argv) {
     emit("    \"inprocess_%s\": {\"wall_seconds\": %.3f, "
          "\"solve_seconds\": %.3f, \"conflicts\": %llu, "
          "\"propagations\": %llu, \"subsumed\": %llu, "
-         "\"strengthened\": %llu, \"eliminated_vars\": %llu, "
-         "\"vivified\": %llu, \"probed_failed_lits\": %llu, "
-         "\"substituted_vars\": %llu},\n",
+         "\"strengthened\": %llu, \"vivified\": %llu, "
+         "\"probed_failed_lits\": %llu},\n",
          on != 0 ? "on" : "off", wall[on], solve[on], u(sat[on].conflicts),
          u(sat[on].propagations), u(sat[on].subsumed), u(sat[on].strengthened),
-         u(sat[on].eliminated_vars), u(sat[on].vivified),
-         u(sat[on].probed_failed_lits), u(sat[on].substituted_vars));
+         u(sat[on].vivified), u(sat[on].probed_failed_lits));
   }
   emit("    \"conflict_ratio\": %.4f,\n",
        ratio(sat[0].conflicts, sat[1].conflicts));
@@ -209,13 +208,11 @@ int main(int argc, char** argv) {
       const config_totals& t = results[i][cfg];
       emit("     \"%s\": {\"wall_seconds\": %.3f, \"solve_seconds\": %.3f, "
            "\"conflicts\": %llu, \"propagations\": %llu, \"subsumed\": %llu, "
-           "\"strengthened\": %llu, \"eliminated_vars\": %llu, "
-           "\"vivified\": %llu, \"probed_failed_lits\": %llu, "
-           "\"substituted_vars\": %llu}%s\n",
+           "\"strengthened\": %llu, \"vivified\": %llu, "
+           "\"probed_failed_lits\": %llu}%s\n",
            kConfigName[cfg], t.wall, t.solve, u(t.sat.conflicts),
            u(t.sat.propagations), u(t.sat.subsumed), u(t.sat.strengthened),
-           u(t.sat.eliminated_vars), u(t.sat.vivified),
-           u(t.sat.probed_failed_lits), u(t.sat.substituted_vars),
+           u(t.sat.vivified), u(t.sat.probed_failed_lits),
            cfg + 1 < kConfigs ? "," : "}");
     }
     emit("%s\n", i + 1 < rows.size() ? "    ," : "");

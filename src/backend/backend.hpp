@@ -13,8 +13,8 @@
 // The contract every backend implements (tests/test_backend.cpp asserts it
 // over every registered backend):
 //   * run() honors `backend_request::dl` — it returns promptly with status
-//     `timeout` once the deadline expires — and `backend_request::exec.cancel`
-//     — an external cancellation yields status `cancelled`.
+//     `timeout` once the deadline expires — and `request.base.lm.cancel` —
+//     an external cancellation yields status `cancelled`.
 //   * Cancellation is non-destructive: the instance stays reusable and a
 //     later run() with a clean token succeeds.
 //   * A returned realization is ALWAYS verified by the backend against
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bf/truth_table.hpp"
-#include "exec/exec.hpp"
 #include "lm/target.hpp"
 #include "sat/solver.hpp"
 #include "synth/janus.hpp"
@@ -72,14 +71,13 @@ class realization {
 
 /// One synthesis job. The target is copied in so a request outlives whatever
 /// produced it; `base` carries the shared tuning (SAT options, budgets,
-/// solution / lattice-info caches) that the lattice engines consume and the
-/// SAT-native engines read solver options from.
+/// solution / lattice-info caches), the stop token (`base.lm.cancel`) and
+/// the fan-out pool (`base.pool`) that the lattice engines consume and the
+/// SAT-native engines read solver options and the token from.
 struct backend_request {
   lm::target_spec target;
   deadline dl = deadline::never();  ///< per-target wall-clock budget
-  exec::context exec;               ///< cancellation (+ optional shared pool)
-  int jobs = 1;                     ///< intra-backend parallelism hint
-  synth::janus_options base;        ///< shared tuning and caches
+  synth::janus_options base;        ///< shared tuning, caches, token, pool
 };
 
 struct backend_result {

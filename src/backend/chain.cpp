@@ -325,7 +325,7 @@ class chain_backend final : public synth_backend {
     result.lower_bound = r;
     const int step_cap = static_cast<int>(g.num_minterms());
     while (r <= step_cap) {
-      if (request.exec.cancel.cancelled()) {
+      if (request.base.lm.cancel.cancelled()) {
         result.status = backend_status::cancelled;
         break;
       }
@@ -335,7 +335,7 @@ class chain_backend final : public synth_backend {
       }
       chain_instance instance(g, r, request.base.lm.solver);
       const sat::solve_result verdict =
-          instance.solve(request.dl, request.exec.cancel.flag());
+          instance.solve(request.dl, request.base.lm.cancel.flag());
       result.sat += instance.stats();
       if (verdict == sat::solve_result::sat) {
         boolean_chain chain(n, instance.extract(), n + r - 1, inverted);
@@ -354,7 +354,7 @@ class chain_backend final : public synth_backend {
         result.lower_bound = r;
         continue;
       }
-      result.status = request.exec.cancel.cancelled()
+      result.status = request.base.lm.cancel.cancelled()
                           ? backend_status::cancelled
                           : backend_status::timeout;
       break;

@@ -252,7 +252,7 @@ class esop_backend final : public synth_backend {
       // count is ub - 1 (ub itself is already realized by the PPRM).
       esop_session session(f, ub - 1, request.base.lm.solver);
       while (lb < ub) {
-        if (request.exec.cancel.cancelled()) {
+        if (request.base.lm.cancel.cancelled()) {
           result.status = backend_status::cancelled;
           break;
         }
@@ -262,7 +262,7 @@ class esop_backend final : public synth_backend {
         }
         const int k = lb + (ub - lb) / 2;
         const sat::solve_result verdict =
-            session.probe(k, request.dl, request.exec.cancel.flag());
+            session.probe(k, request.dl, request.base.lm.cancel.flag());
         if (verdict == sat::solve_result::sat) {
           esop_form found = session.extract(k);
           JANUS_CHECK_MSG(found.num_terms() <= k,
@@ -275,7 +275,7 @@ class esop_backend final : public synth_backend {
           lb = k + 1;
           result.lower_bound = lb;
         } else {
-          result.status = request.exec.cancel.cancelled()
+          result.status = request.base.lm.cancel.cancelled()
                               ? backend_status::cancelled
                               : backend_status::timeout;
           break;

@@ -23,12 +23,10 @@ std::string multi_lattice_realization::describe() const {
 namespace {
 
 /// Shared plumbing: derive the engine's janus_options from the request —
-/// the deadline clips the engine budget, the cancel token and pool thread
-/// through `exec`, and the shared caches ride along in `base`.
+/// the deadline clips the engine budget; the stop token, the pool and the
+/// shared caches ride along in `base`.
 synth::janus_options engine_options(const backend_request& request) {
   synth::janus_options options = request.base;
-  options.jobs = std::max(1, request.jobs);
-  options.exec = request.exec;
   options.time_limit_s =
       std::min(options.time_limit_s, request.dl.remaining_seconds());
   return options;
@@ -40,7 +38,7 @@ synth::janus_options engine_options(const backend_request& request) {
 /// best-effort answer.
 backend_status classify(const backend_request& request, bool hit_time_limit,
                         bool has_solution) {
-  if (request.exec.cancel.cancelled()) {
+  if (request.base.lm.cancel.cancelled()) {
     return backend_status::cancelled;
   }
   if (hit_time_limit) {
@@ -77,7 +75,7 @@ class janus_like_backend : public synth_backend {
       // approximate flavors treat probe timeouts as UNSAT by design.
       result.optimal = result.status == backend_status::solved && exact();
     } catch (const synth::no_upper_bound_error& error) {
-      result.status = request.exec.cancel.cancelled()
+      result.status = request.base.lm.cancel.cancelled()
                           ? backend_status::cancelled
                           : backend_status::timeout;
       result.detail = error.what();
@@ -154,7 +152,7 @@ class janus_mf_backend final : public synth_backend {
                       "janus-mf backend: merge failed the BFS oracle");
       result.status = classify(request, run.hit_time_limit, true);
     } catch (const synth::no_upper_bound_error& error) {
-      result.status = request.exec.cancel.cancelled()
+      result.status = request.base.lm.cancel.cancelled()
                           ? backend_status::cancelled
                           : backend_status::timeout;
       result.detail = error.what();

@@ -1,7 +1,9 @@
 // Cooperative cancellation for the parallel execution engine.
 //
 // A `cancel_source` owns a single atomic stop flag; `cancel_token` is the
-// read-only view handed to workers. Sources form a tree: a source constructed
+// read-only view handed to workers. A call tree carries exactly one token,
+// `lm::lm_options::cancel` (reached through `janus_options::lm` and
+// `backend_request::base.lm`). Sources form a tree: a source constructed
 // from a parent token is cancelled automatically when the parent fires, so a
 // target-level cancellation cascades into the probes it fanned out and from
 // there into the in-flight SAT solvers (which poll the raw flag inside their

@@ -24,7 +24,7 @@ struct side_run {
 /// leases a persistent solver; scratch mode builds fresh.
 side_run run_side(const target_spec& target, const lattice_info& info,
                   bool dual_side, const lm_options& options, deadline budget) {
-  const exec::cancel_token& stop = options.exec.cancel;
+  const exec::cancel_token& stop = options.cancel;
   side_run out;
   if (stop.cancelled() || budget.expired()) {
     return out;
@@ -91,8 +91,8 @@ void fill_result(lm_result& result, side_run&& run, bool dual_side,
       result.definitely_unrealizable = run.rule_free_unsat;
       break;
     case sat::solve_result::unknown:
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
+      result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                                 : lm_status::unknown;
       break;
     case sat::solve_result::sat: {
       JANUS_CHECK(run.mapping.has_value());
@@ -110,7 +110,7 @@ void fill_result(lm_result& result, side_run&& run, bool dual_side,
 lm_result solve_lm(const target_spec& target, const lattice_info& info,
                    const lm_options& options, deadline budget) {
   lm_result result;
-  if (options.exec.cancel.cancelled()) {
+  if (options.cancel.cancelled()) {
     result.status = lm_status::cancelled;
     return result;
   }
@@ -165,8 +165,8 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
   result.solver += run.stats;
   if (!run.ran) {
     // Cancelled or out of budget before the encode started.
-    result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                    : lm_status::unknown;
+    result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                               : lm_status::unknown;
     return result;
   }
   fill_result(result, std::move(run), use_dual, target, options);

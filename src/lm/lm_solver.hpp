@@ -12,6 +12,9 @@
 // sides on two workers was measured and removed: it added CPU time, conflicts
 // and memory to a parallel ladder without shortening its wall time.)
 //
+// `lm_options::cancel` is the call tree's one stop token: every layer copies
+// the lm_options it was handed, so the token reaches each solve unasked.
+//
 // Orthogonally, `lm_options::sessions` switches the side from the scratch
 // encoder+solver to a leased incremental session (see lm_session.hpp): the
 // same verdicts, but learned clauses persist across the caller's probe
@@ -20,7 +23,7 @@
 
 #include <optional>
 
-#include "exec/exec.hpp"
+#include "exec/cancellation.hpp"
 #include "lm/encoding.hpp"
 #include "lm/lm_session.hpp"
 #include "util/timer.hpp"
@@ -48,9 +51,9 @@ struct lm_options {
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).
   std::uint64_t max_encoding_clauses = 4'000'000;
-  /// Cancellation. The call itself runs on the calling thread whether or not
-  /// `exec.pool` is set.
-  exec::context exec;
+  /// Stop token (empty = never). A fired token ends the call `cancelled`:
+  /// before the encode, or mid-search through the solver's stop flag.
+  exec::cancel_token cancel;
   /// Incremental sessions (nullptr = scratch mode). When set, the solved side
   /// of a probe leases a persistent per-(target, side) solver from this pool
   /// instead of building a fresh encoder + solver, keeping learned clauses

@@ -130,7 +130,7 @@ lm_result solve_lm_reachability(const target_spec& target,
   sat::solver s(options.solver);
   s.set_deadline(budget.tightened(options.sat_time_limit_s));
   s.set_conflict_budget(options.conflict_budget);
-  s.set_stop_flag(options.exec.cancel.flag());
+  s.set_stop_flag(options.cancel.flag());
   const sat::solve_result verdict =
       s.add_cnf(formula) ? s.solve() : sat::solve_result::unsat;
   result.solver = s.stats();
@@ -142,8 +142,8 @@ lm_result solve_lm_reachability(const target_spec& target,
       result.definitely_unrealizable = true;  // no heuristic rules involved
       break;
     case sat::solve_result::unknown:
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
+      result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                                 : lm_status::unknown;
       break;
     case sat::solve_result::sat: {
       lattice::lattice_mapping mapping = decode_mapping(

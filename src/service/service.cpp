@@ -283,7 +283,6 @@ void synthesis_service::run_job(queued_job job) {
   for (const lm::target_spec& target : job.req.targets) {
     output_report report;
     report.name = target.name();
-    report.dims = "-";
     if (job.dl.expired() || job_cancel.cancel_requested()) {
       // Deadline (or drain cancellation) hit before this output started.
       report.timed_out = true;
@@ -291,15 +290,14 @@ void synthesis_service::run_job(queued_job job) {
       outputs.push_back(std::move(report));
       continue;
     }
-    // Mirror synthesize_batch's per-target shard exactly — jobs=1, no shared
-    // pool, time limit clipped by the remaining deadline — so sizes are
+    // Mirror synthesize_batch's per-target shard exactly — jobs=1, no pool,
+    // time limit clipped by the remaining deadline — so sizes are
     // bit-identical to a direct batch run over the same store.
     synth::janus_options per = options_.base;
     per.time_limit_s =
         std::min(options_.base.time_limit_s, job.dl.remaining_seconds());
-    per.jobs = 1;
-    per.exec.pool = nullptr;
-    per.exec.cancel = job_cancel.token();
+    per.pool = nullptr;
+    per.lm.cancel = job_cancel.token();
     per.solutions = &store_;
     per.lattice_info = &lattice_info_;
     if (!job.req.backend.empty()) {
@@ -310,10 +308,8 @@ void synthesis_service::run_job(queued_job job) {
                            ? backend::backend_names()
                            : std::vector<std::string>{job.req.backend};
       popts.base = per;
-      exec::context ctx;
-      ctx.cancel = job_cancel.token();
       const synth::portfolio_result p =
-          synth::run_portfolio(target, popts, job.dl, ctx);
+          synth::run_portfolio(target, popts, job.dl);
       for (const backend::backend_result& entry : p.entries) {
         solver_delta += entry.sat;
         ++backend_runs[entry.backend];

@@ -127,9 +127,9 @@ struct service_options {
   /// Persistent solution store: loaded on construction when the file exists,
   /// saved atomically on drain. Empty = in-memory cache only.
   std::string cache_path;
-  /// Per-target engine configuration. `jobs`, `exec`, `solutions` and
-  /// `lattice_info` are overridden per request (shared caches, per-request
-  /// cancellation); everything else applies as-is.
+  /// Per-target engine configuration. `pool`, `lm.cancel`, `solutions` and
+  /// `lattice_info` are overridden per request (no pool, per-request
+  /// cancellation, shared caches); everything else applies as-is.
   synth::janus_options base;
   /// Test hook: runs on the worker thread right after a synth job is
   /// dequeued — before the job is counted in-flight and before any

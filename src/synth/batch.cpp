@@ -42,10 +42,9 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
           portfolio_options popts;
           popts.backends = options.backends;
           popts.base = options.base;
-          exec::context ctx;
-          ctx.pool = pool.get();
-          batch.portfolio[i] = run_portfolio(
-              targets[i], popts, deadline::in_seconds(budget), ctx);
+          popts.base.pool = pool.get();
+          batch.portfolio[i] = run_portfolio(targets[i], popts,
+                                             deadline::in_seconds(budget));
           const backend::backend_result* win = batch.portfolio[i].winning();
           JANUS_LOG(info) << "batch: " << targets[i].name() << " -> "
                           << (win != nullptr ? win->backend : "no winner");
@@ -53,8 +52,7 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
         }
         janus_options per = options.base;
         per.time_limit_s = budget;
-        per.jobs = 1;  // sharding decides; the shared pool adds the rest
-        per.exec.pool = pool.get();
+        per.pool = pool.get();  // sharding decides; the probes share the pool
         janus_synthesizer engine(per);
         batch.results[i] = engine.run(targets[i]);
         JANUS_LOG(info) << "batch: " << targets[i].name() << " -> "

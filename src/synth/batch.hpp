@@ -2,10 +2,11 @@
 //
 // The paper's experiments synthesize 48 independent Table II instances; a
 // synthesis service faces the same shape (every output of a PLA, every
-// function of a netlist). `synthesize_batch` shards the targets across one
-// shared thread pool; each target additionally fans out its own dichotomic
-// probes on the *same* pool (the task-group engine is nesting-safe), so
-// small batches still saturate the workers.
+// function of a netlist). `synthesize_batch` owns one pool of `jobs`
+// workers, shards the targets across it and hands it to each target as
+// `janus_options::pool`, so each target's probes fan out on the *same* pool
+// (the task-group engine is nesting-safe) and small batches still saturate
+// the workers.
 //
 // Determinism: results are reported in input order, and every per-target
 // result is bit-identical in bounds and solution size to a jobs=1 run of the
@@ -25,7 +26,7 @@
 namespace janus::synth {
 
 struct batch_options {
-  janus_options base;  ///< per-target options (jobs/exec fields are ignored)
+  janus_options base;  ///< per-target options; `pool` is the batch's own
 
   /// Non-empty: route every target through the backend portfolio (these
   /// names, in priority order) instead of the classic JANUS path — each

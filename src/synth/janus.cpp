@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "cache/solution_cache.hpp"
 #include "util/log.hpp"
@@ -89,11 +88,7 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
       report.methods.push_back(std::move(*sol));
     }
   };
-  // External cancellation must reach the constructions' embedded LM solves
-  // too, or a Ctrl-C during the bounds phase waits out their SAT budgets.
-  lm::lm_options bound_lm = options_.lm;
-  bound_lm.exec.cancel = options_.exec.cancel;
-  const auto cancelled = [&] { return options_.exec.cancel.cancelled(); };
+  const auto cancelled = [&] { return options_.lm.cancel.cancelled(); };
   if (options_.use_dp) {
     consider(build_dp(target));
   }
@@ -104,7 +99,7 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
     consider(build_dps(target));
   }
   if (options_.use_ips && !cancelled()) {
-    consider(build_ips(target, cache(), bound_lm, budget));
+    consider(build_ips(target, cache(), options_.lm, budget));
   }
   if (options_.use_idps && !cancelled()) {
     consider(build_idps(target, budget));
@@ -158,7 +153,7 @@ janus_synthesizer::probe_outcome janus_synthesizer::probe(
 
 std::optional<lattice_mapping> janus_synthesizer::probe_step(
     const target_spec& target, int mp, deadline budget,
-    exec::thread_pool* pool, std::vector<probe_record>& log) {
+    std::vector<probe_record>& log) {
   const std::vector<dims> candidates = lattice_candidates(mp);
   const std::size_t n = candidates.size();
   std::vector<probe_outcome> outcomes(n);
@@ -175,7 +170,6 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   std::vector<std::uint8_t> pruned(n, 0);
   if (sessions_ != nullptr) {
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.cancel = options_.exec.cancel;
     lm_options.sessions = sessions_;
     for (std::size_t i = 0; i < n; ++i) {
       if (sessions_->known_unrealizable(candidates[i])) {
@@ -186,14 +180,13 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     }
   }
 
-  if (pool == nullptr) {
+  if (options_.pool == nullptr) {
     // Sequential jobs=1 path: one area at a time, smallest first, until an
     // area settles. Candidates of one area are contiguous in canonical
     // order; a lone one is probed outright, several share the area in
     // conflict slices so that a quick SAT sibling is not stuck behind a
     // long UNSAT proof it makes unnecessary.
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.cancel = options_.exec.cancel;  // aborts in-flight solves
     lm_options.sessions = sessions_;
     bool settled = false;
     for (std::size_t first = 0, last = 0;
@@ -225,18 +218,18 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     std::vector<exec::cancel_source> stops;
     stops.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      stops.emplace_back(options_.exec.cancel);
+      stops.emplace_back(options_.lm.cancel);
     }
     util::mutex step_mutex;
     int best_area = mp + 1;
-    exec::task_group group(pool);
+    exec::task_group group(options_.pool);
     for (std::size_t i = 0; i < n; ++i) {
       if (pruned[i] != 0) {
         continue;
       }
       group.run([&, i] {
         lm::lm_options lm_options = options_.lm;
-        lm_options.exec.cancel = stops[i].token();
+        lm_options.cancel = stops[i].token();
         lm_options.sessions = sessions_;
         outcomes[i] = probe(target, candidates[i], budget, lm_options);
         probed[i] = 1;
@@ -333,7 +326,7 @@ bool janus_synthesizer::probe_area_sliced(
   }
   // Members still paused never got a verdict. Once the area has settled
   // they need none, and after an external cancel they will get none.
-  if (settled || options_.exec.cancel.cancelled()) {
+  if (settled || options_.lm.cancel.cancelled()) {
     for (const std::size_t i : members) {
       if (probed[i] != 0) {
         outcomes[i].result.status = lm::lm_status::cancelled;
@@ -402,16 +395,6 @@ janus_result janus_synthesizer::run(const target_spec& target) {
     }
   }
 
-  // The probe fan-out pool: shared when the caller provided one (batch
-  // synthesis), created here for a standalone jobs=N run, absent for jobs=1.
-  std::unique_ptr<exec::thread_pool> owned_pool;
-  exec::thread_pool* pool = options_.exec.pool;
-  if (pool == nullptr && options_.jobs > 1) {
-    owned_pool =
-        std::make_unique<exec::thread_pool>(static_cast<std::size_t>(options_.jobs));
-    pool = owned_pool.get();
-  }
-
   // Step 1: bounds.
   const bounds_report bounds = compute_bounds(target, budget);
   const bound_solution* best_bound = bounds.best();
@@ -445,7 +428,7 @@ janus_result janus_synthesizer::run(const target_spec& target) {
     }
     const int mp = (lo + hi) / 2;
     std::optional<lattice_mapping> winner =
-        probe_step(target, mp, budget, pool, result.probes);
+        probe_step(target, mp, budget, result.probes);
     if (winner.has_value()) {
       best = std::move(*winner);
       hi = best.size();
@@ -546,7 +529,6 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
   lm::lm_options probe_options = options_.lm;
   probe_options.sat_time_limit_s =
       std::min(probe_options.sat_time_limit_s, 20.0);
-  probe_options.exec.cancel = options_.exec.cancel;  // Ctrl-C reaches the ladder
   lm::lm_session_pool g_sessions(gt, options_.lm.encode, options_.lm.solver);
   lm::lm_session_pool h_sessions(ht, options_.lm.encode, options_.lm.solver);
   int bc = combined.size();

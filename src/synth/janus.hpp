@@ -11,6 +11,8 @@
 //
 // The same engine, reconfigured, provides the Table II baselines
 // (see baselines.hpp) and the DS / JANUS-MF building blocks.
+// A run's two execution settings, janus_options::pool and lm.cancel, travel
+// with the options into every bound construction, DS child and LM solve.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/exec.hpp"
+#include "exec/thread_pool.hpp"
 #include "lm/lm_solver.hpp"
 #include "synth/bounds.hpp"
 #include "util/check.hpp"
@@ -37,12 +39,9 @@ struct janus_options {
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
-  /// Worker threads for the dichotomic probe fan-out. 1 (the default) keeps
-  /// the fully sequential pipeline. When
-  /// `exec.pool` is null and jobs > 1, run() creates its own pool; batch
-  /// synthesis instead shares one pool across targets via `exec`.
-  int jobs = 1;
-  exec::context exec;  ///< shared pool + external cancellation (optional)
+  /// The caller's fan-out pool (non-owning; null = fully sequential). DS
+  /// children and JANUS-MF outputs share it; the stop token is `lm.cancel`.
+  exec::thread_pool* pool = nullptr;
 
   /// Drive the dichotomic probes through incremental SAT sessions (one
   /// persistent solver per (target, side), learned clauses kept across the
@@ -178,7 +177,7 @@ class janus_synthesizer {
 
   /// The overall budget expired or the run was cancelled externally.
   [[nodiscard]] bool stopped(deadline budget) const {
-    return budget.expired() || options_.exec.cancel.cancelled();
+    return budget.expired() || options_.lm.cancel.cancelled();
   }
 
   /// Probe one dimension pair, memoized across the binary search.
@@ -191,10 +190,10 @@ class janus_synthesizer {
   /// is realizable. The area is the switch count, so once one candidate of
   /// an area is realizable, no candidate of equal or larger area needs a
   /// verdict; every smaller area is still decided.
-  ///   * jobs=1 (`pool` null): areas in ascending order. An area with two or
+  ///   * no pool (jobs=1): areas in ascending order. An area with two or
   ///     more unpruned candidates is decided by probe_area_sliced; a lone
   ///     candidate is probed outright.
-  ///   * jobs=N: every candidate is probed concurrently on `pool`. A SAT
+  ///   * `options_.pool` set: every candidate is probed concurrently. A SAT
   ///     answer at rank i cancels every other rank of area ≥ area(i); the
   ///     winner is the realizable record of smallest area, and among equal
   ///     areas the lowest rank that finished.
@@ -207,7 +206,7 @@ class janus_synthesizer {
   /// front (logged with zero solve time) instead of probed.
   std::optional<lattice::lattice_mapping> probe_step(
       const lm::target_spec& target, int mp, deadline budget,
-      exec::thread_pool* pool, std::vector<probe_record>& log);
+      std::vector<probe_record>& log);
 
   /// The jobs=1 decision of one area's unpruned candidates (`members`,
   /// canonical ranks into `candidates`): they take turns under conflict

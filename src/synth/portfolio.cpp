@@ -10,8 +10,8 @@
 namespace janus::synth {
 
 portfolio_result run_portfolio(const lm::target_spec& target,
-                               const portfolio_options& options, deadline dl,
-                               exec::context ctx) {
+                               const portfolio_options& options,
+                               deadline dl) {
   stopwatch clock;
   const std::vector<std::string>& names = options.backends.empty()
                                               ? backend::backend_names()
@@ -32,7 +32,7 @@ portfolio_result run_portfolio(const lm::target_spec& target,
   // tasks run inline in priority order and a definitive finisher cancels
   // everything behind it before it starts.
   std::unique_ptr<exec::thread_pool> own_pool;
-  exec::thread_pool* pool = ctx.pool;
+  exec::thread_pool* pool = options.base.pool;
   if (pool == nullptr && options.race && names.size() > 1) {
     const std::size_t workers = options.jobs > 0
                                     ? static_cast<std::size_t>(options.jobs)
@@ -44,7 +44,7 @@ portfolio_result run_portfolio(const lm::target_spec& target,
   std::vector<exec::cancel_source> sources;
   sources.reserve(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    sources.emplace_back(ctx.cancel);
+    sources.emplace_back(options.base.lm.cancel);
   }
   // lint: unguarded(CAS claim ticket; the whole point is lock-freedom)
   std::atomic<int> claimed{-1};
@@ -66,9 +66,9 @@ portfolio_result run_portfolio(const lm::target_spec& target,
         backend::backend_request request;
         request.target = target;
         request.dl = dl;
-        request.exec = exec::context{nullptr, token};
-        request.jobs = 1;
         request.base = options.base;
+        request.base.pool = nullptr;
+        request.base.lm.cancel = token;
         entry = engine->run(request);
         if (options.race && entry.definitive()) {
           int expected = -1;

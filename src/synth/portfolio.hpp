@@ -1,9 +1,9 @@
 // The portfolio: several synthesis backends racing on one target.
 //
-// Reuses the exec engine's racing pattern (the same shape as solve_lm's
-// primal/dual race and the dichotomic probe fan-out): every requested
-// backend gets its own cancel_source linked under the caller's token and
-// fans out on the shared pool; the FIRST backend to return a definitive
+// Reuses the probe fan-out's racing pattern: every requested backend gets
+// its own cancel_source linked under `base.lm.cancel` and runs, with
+// `base.pool` cleared, as one task on `base.pool` (or on a pool this call
+// owns when handed none). The FIRST backend to return a definitive
 // answer (a converged, verified realization) cancels every sibling
 // mid-solve, so the portfolio's wall-clock tracks the fastest engine
 // instead of the sum.
@@ -29,14 +29,14 @@ struct portfolio_options {
   /// go to the earliest). Empty = every registered backend.
   std::vector<std::string> backends;
 
-  janus_options base;  ///< shared tuning + caches handed to every backend
+  janus_options base;  ///< shared tuning, caches, stop token and pool
 
   /// Cancel siblings once one backend is definitive. Off = compare mode:
   /// all backends run to completion (no intra-target cancellation).
   bool race = true;
 
   /// Racing pool width when the caller provides no pool; 0 = one worker
-  /// per backend. Ignored when `exec.pool` is already set (batch mode) —
+  /// per backend. Ignored when `base.pool` is already set (batch mode) —
   /// then backends nest on the caller's pool.
   int jobs = 0;
 };
@@ -53,11 +53,9 @@ struct portfolio_result {
 };
 
 /// Race (or, with race=false, survey) the requested backends on one target.
-/// `dl` is the per-target budget every backend receives; `ctx` carries the
-/// caller's cancellation and (optionally) the shared pool.
+/// `dl` is the per-target budget every backend receives.
 [[nodiscard]] portfolio_result run_portfolio(const lm::target_spec& target,
                                              const portfolio_options& options,
-                                             deadline dl = deadline::never(),
-                                             exec::context ctx = {});
+                                             deadline dl = deadline::never());
 
 }  // namespace janus::synth

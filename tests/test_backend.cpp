@@ -103,7 +103,7 @@ TEST_P(backend_conformance, cancellation_is_non_destructive) {
   exec::cancel_source source;
   source.request_cancel();
   backend_request cancelled = make_request(target);
-  cancelled.exec = cancelled.exec.with_cancel(source.token());
+  cancelled.base.lm.cancel = source.token();
   const backend_result first = engine->run(cancelled);
   EXPECT_NE(first.status, backend_status::failed) << first.detail;
   EXPECT_NE(first.status, backend_status::solved)
@@ -294,12 +294,11 @@ TEST(portfolio, compare_mode_runs_every_backend_to_completion) {
 TEST(portfolio, external_cancellation_cascades) {
   exec::cancel_source source;
   source.request_cancel();
-  exec::context ctx;
-  ctx.cancel = source.token();
   synth::portfolio_options options;
   options.backends = {"esop", "chain"};
-  const synth::portfolio_result result = synth::run_portfolio(
-      small_target(), options, deadline::never(), ctx);
+  options.base.lm.cancel = source.token();
+  const synth::portfolio_result result =
+      synth::run_portfolio(small_target(), options, deadline::never());
   EXPECT_EQ(result.winner, -1);
   for (const backend::backend_result& entry : result.entries) {
     EXPECT_EQ(entry.status, backend_status::cancelled);

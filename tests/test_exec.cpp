@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exec/cancellation.hpp"
-#include "exec/exec.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace janus::exec {
@@ -131,22 +130,6 @@ TEST(Cancellation, LinkingUnderFiredParentStartsCancelled) {
   parent.request_cancel();
   const cancel_source child(parent.token());
   EXPECT_TRUE(child.token().cancelled());
-}
-
-TEST(Context, ParallelRequiresRealWorkers) {
-  context sequential;
-  EXPECT_FALSE(sequential.parallel());
-  thread_pool empty(0);
-  sequential.pool = &empty;
-  EXPECT_FALSE(sequential.parallel());
-  thread_pool pool(2);
-  context parallel{&pool, {}};
-  EXPECT_TRUE(parallel.parallel());
-  cancel_source source;
-  const context recancelled = parallel.with_cancel(source.token());
-  EXPECT_EQ(recancelled.pool, &pool);
-  source.request_cancel();
-  EXPECT_TRUE(recancelled.cancel.cancelled());
 }
 
 }  // namespace

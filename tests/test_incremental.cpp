@@ -9,6 +9,7 @@
 #include <atomic>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "instances/table2.hpp"
 #include "lm/lm_session.hpp"
 #include "lm/lm_solver.hpp"
@@ -213,12 +214,14 @@ TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   EXPECT_EQ(other.verdict, sat::solve_result::sat);
 }
 
-synth::janus_options determinism_options(bool incremental, int jobs) {
+/// `pool` null = jobs=1; the tests hand in a pool of 8 for jobs=8.
+synth::janus_options determinism_options(bool incremental,
+                                         exec::thread_pool* pool) {
   synth::janus_options o;
   o.time_limit_s = 120.0;
   o.lm.sat_time_limit_s = 30.0;
   o.incremental = incremental;
-  o.jobs = jobs;
+  o.pool = pool;
   return o;
 }
 
@@ -226,15 +229,17 @@ synth::janus_options determinism_options(bool incremental, int jobs) {
 /// bounds and solution sizes, sequentially and under the full parallel
 /// fan-out, on Table II instances small enough that no budget expires.
 TEST(SessionDeterminism, ScratchAndSessionAgreeAtJobs1AndJobs8) {
+  exec::thread_pool pool(8);
   for (const char* name : {"b12_03", "c17_01", "dc1_00", "dc1_02", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
 
-    synth::janus_synthesizer scratch_engine(determinism_options(false, 1));
+    synth::janus_synthesizer scratch_engine(determinism_options(false, nullptr));
     const synth::janus_result scratch = scratch_engine.run(t);
     ASSERT_TRUE(scratch.solution.has_value()) << name;
 
     for (const int jobs : {1, 8}) {
-      synth::janus_synthesizer engine(determinism_options(true, jobs));
+      synth::janus_synthesizer engine(
+          determinism_options(true, jobs == 1 ? nullptr : &pool));
       const synth::janus_result session = engine.run(t);
       ASSERT_TRUE(session.solution.has_value()) << name << " jobs=" << jobs;
       EXPECT_EQ(session.solution_size(), scratch.solution_size())
@@ -251,7 +256,7 @@ TEST(SessionDeterminism, ScratchAndSessionAgreeAtJobs1AndJobs8) {
     }
 
     // And jobs=8 scratch agrees too (no frontier, pure fan-out).
-    synth::janus_synthesizer par_scratch(determinism_options(false, 8));
+    synth::janus_synthesizer par_scratch(determinism_options(false, &pool));
     const synth::janus_result ps = par_scratch.run(t);
     EXPECT_EQ(ps.solution_size(), scratch.solution_size()) << name;
     EXPECT_EQ(ps.lower_bound, scratch.lower_bound) << name;
@@ -265,17 +270,19 @@ TEST(SessionDeterminism, ScratchAndSessionAgreeAtJobs1AndJobs8) {
 /// (the most conservative reference) against sessions with inprocessing ON,
 /// at jobs=1 and jobs=8.
 TEST(SessionDeterminism, InprocessingKeepsSizesBitIdentical) {
+  exec::thread_pool pool(8);
   for (const char* name : {"b12_03", "dc1_00", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
 
-    synth::janus_options off = determinism_options(false, 1);
+    synth::janus_options off = determinism_options(false, nullptr);
     off.lm.solver.inprocess = false;
     synth::janus_synthesizer baseline_engine(off);
     const synth::janus_result baseline = baseline_engine.run(t);
     ASSERT_TRUE(baseline.solution.has_value()) << name;
 
     for (const int jobs : {1, 8}) {
-      synth::janus_options on = determinism_options(true, jobs);
+      synth::janus_options on =
+          determinism_options(true, jobs == 1 ? nullptr : &pool);
       on.lm.solver.inprocess = true;
       synth::janus_synthesizer engine(on);
       const synth::janus_result session = engine.run(t);

@@ -1,10 +1,16 @@
 // Additional end-to-end coverage for the synthesis engine: edge-shaped
 // targets, option toggles, probe memoization, the sequential-AMO encoding
-// variant, and deeper JANUS-vs-optimum sweeps on 4-variable functions.
+// variant, deeper JANUS-vs-optimum sweeps on 4-variable functions, and the
+// stop token reaching the LM solves of the baselines and JANUS-MF.
 #include <gtest/gtest.h>
 
+#include "cache/solution_cache.hpp"
+#include "exec/cancellation.hpp"
+#include "instances/table2.hpp"
 #include "lm/reach_encoding.hpp"
+#include "synth/baselines.hpp"
 #include "synth/janus.hpp"
+#include "synth/janus_mf.hpp"
 #include "util/rng.hpp"
 
 namespace janus::synth {
@@ -126,6 +132,53 @@ TEST(Janus, RerunIsDeterministic) {
   EXPECT_EQ(r1.solution_size(), r2.solution_size());
   EXPECT_EQ(r1.lower_bound, r2.lower_bound);
   EXPECT_EQ(r1.new_upper_bound, r2.new_upper_bound);
+}
+
+exec::cancel_token fired_token() {
+  exec::cancel_source source;
+  source.request_cancel();
+  return source.token();
+}
+
+// A fired token stops the local search after the bound constructions: every
+// promising-candidate probe ends `cancelled`, and the bound solution stands.
+TEST(Cancellation, Heuristic11StopsAtItsBound) {
+  const target_spec t = instances::make_table2_instance("misex1_07");
+  janus_options o = fast_options();
+  o.lm.cancel = fired_token();
+  const janus_result r = run_heuristic11(t, o);
+  ASSERT_TRUE(r.solution.has_value());
+  EXPECT_TRUE(r.solution->realizes(t.function()));
+  EXPECT_EQ(r.solution_size(), r.new_upper_bound);
+  EXPECT_FALSE(r.probes.empty());
+  for (const probe_record& p : r.probes) {
+    EXPECT_EQ(p.status, lm::lm_status::cancelled) << p.d.str();
+  }
+}
+
+// With a warm store Part 1 answers every output from the cache, so only
+// Part 2's height sweep could change the size — and a fired token stops
+// every one of its LM solves.
+TEST(Cancellation, JanusMfPart2HonoursTheToken) {
+  std::vector<target_spec> targets;
+  for (const char* name : {"c17_01", "dc1_00", "dc1_02", "dc1_03"}) {
+    targets.push_back(instances::make_table2_instance(name));
+  }
+  cache::solution_cache store;
+  janus_options o = fast_options();
+  o.solutions = &store;
+  const janus_mf_result warm = run_janus_mf(targets, o);
+  ASSERT_LT(warm.improved_size(), warm.straightforward_size());
+
+  o.lm.cancel = fired_token();
+  const janus_mf_result cancelled = run_janus_mf(targets, o);
+  EXPECT_EQ(cancelled.straightforward_size(), warm.straightforward_size());
+  EXPECT_EQ(cancelled.improved_size(), cancelled.straightforward_size());
+  std::vector<bf::truth_table> functions;
+  for (const target_spec& t : targets) {
+    functions.push_back(t.function());
+  }
+  EXPECT_TRUE(cancelled.improved.realizes(functions));
 }
 
 class Janus4VarOptimum : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,5 +1,5 @@
-// Tests for the parallel solve pipeline: solver cancellation, solve_lm with a
-// pool, determinism of the dichotomic probe fan-out (jobs=1 vs jobs=8 must
+// Tests for the parallel solve pipeline: solver and solve_lm cancellation,
+// determinism of the dichotomic probe fan-out (jobs=1 vs jobs=8 must
 // report bit-identical bounds and solution sizes), the minimal-area contract
 // of one dichotomic step, and the batch synthesis API.
 #include <gtest/gtest.h>
@@ -83,48 +83,13 @@ TEST(SolverCancellation, ClearedFlagDoesNotDisturbSolving) {
   EXPECT_TRUE(s.model_bool(b));
 }
 
-TEST(SolveLmWithPool, AgreesWithSequentialPath) {
-  // A pool in lm_options changes nothing about one LM call: it solves the
-  // side the sequential path picks and returns the same verdict.
-  exec::thread_pool pool(4);
-  lm::lattice_info_cache cache;
-  const struct {
-    const char* text;
-    int vars;
-    lattice::dims d;
-  } cases[] = {
-      {"ab + b'c", 3, {2, 2}},
-      {"ab + b'c", 3, {3, 3}},
-      {"abcde", 5, {2, 2}},        // structurally unrealizable
-      {"ab + cd + ce", 5, {3, 3}},
-  };
-  for (const auto& c : cases) {
-    const target_spec t = target_spec::parse(c.vars, c.text);
-    lm::lm_options sequential;
-    const lm::lm_result seq = lm::solve_lm(t, cache.get(c.d), sequential);
-    lm::lm_options pooled;
-    pooled.exec.pool = &pool;
-    const lm::lm_result par = lm::solve_lm(t, cache.get(c.d), pooled);
-    EXPECT_EQ(seq.status, par.status) << c.text << " on " << c.d.str();
-    EXPECT_EQ(seq.used_dual_problem, par.used_dual_problem)
-        << c.text << " on " << c.d.str();
-    if (par.status == lm::lm_status::realizable) {
-      ASSERT_TRUE(par.mapping.has_value());
-      EXPECT_TRUE(par.mapping->realizes(t.function())) << c.text;
-      EXPECT_EQ(par.mapping->grid(), c.d);
-    }
-  }
-}
-
-TEST(SolveLmWithPool, ExternalCancellationWins) {
-  exec::thread_pool pool(2);
+TEST(SolveLm, ExternalCancellationWins) {
   lm::lattice_info_cache cache;
   const target_spec t = target_spec::parse(3, "ab + b'c");
   exec::cancel_source source;
   source.request_cancel();
   lm::lm_options o;
-  o.exec.pool = &pool;
-  o.exec.cancel = source.token();
+  o.cancel = source.token();
   const lm::lm_result r = lm::solve_lm(t, cache.get({3, 3}), o);
   EXPECT_EQ(r.status, lm::lm_status::cancelled);
 }
@@ -158,13 +123,12 @@ bool any_unknown(const synth::janus_result& r) {
 
 TEST(ProbeFanOut, Jobs8MatchesJobs1OnTableIISmallInstances) {
   for (const target_spec& t : small_table2_targets()) {
-    synth::janus_options sequential = test_options();
-    sequential.jobs = 1;
-    synth::janus_synthesizer seq_engine(sequential);
+    synth::janus_synthesizer seq_engine(test_options());
     const synth::janus_result seq = seq_engine.run(t);
 
+    exec::thread_pool pool(8);
     synth::janus_options parallel = test_options();
-    parallel.jobs = 8;
+    parallel.pool = &pool;
     synth::janus_synthesizer par_engine(parallel);
     const synth::janus_result par = par_engine.run(t);
 
@@ -194,11 +158,11 @@ const synth::probe_record* find_probe(const synth::janus_result& r,
 /// b12_00 runs a few seconds per ladder in a release build and ~20 s under
 /// TSan; the budgets leave room for slow sanitizer hosts, because a timed-out
 /// probe would end `unknown` and fail the checks below for the wrong reason.
-synth::janus_options b12_options(int jobs) {
+synth::janus_options b12_options(exec::thread_pool* pool) {
   synth::janus_options o = test_options();
   o.time_limit_s = 900.0;
   o.lm.sat_time_limit_s = 300.0;
-  o.jobs = jobs;
+  o.pool = pool;
   return o;
 }
 
@@ -208,7 +172,7 @@ synth::janus_options b12_options(int jobs) {
 // 5x3 answer settles it and the 3x5 probe is dropped, not proven.
 TEST(ProbeStep, EqualAreaSiblingIsCancelledOnceTheAreaSettlesAtJobs1) {
   const target_spec t = instances::make_table2_instance("b12_00");
-  const synth::janus_options o = b12_options(1);
+  const synth::janus_options o = b12_options(nullptr);
   synth::janus_synthesizer first_engine(o);
   const synth::janus_result first = first_engine.run(t);
   ASSERT_TRUE(first.solution.has_value());
@@ -231,7 +195,8 @@ TEST(ProbeStep, EqualAreaSiblingIsCancelledOnceTheAreaSettlesAtJobs1) {
 
 TEST(ProbeStep, FanOutSettlesB12AtTheSameSizeAtJobs4) {
   const target_spec t = instances::make_table2_instance("b12_00");
-  synth::janus_synthesizer engine(b12_options(4));
+  exec::thread_pool pool(4);
+  synth::janus_synthesizer engine(b12_options(&pool));
   const synth::janus_result r = engine.run(t);
   ASSERT_TRUE(r.solution.has_value());
   EXPECT_EQ(r.solution_size(), 15);

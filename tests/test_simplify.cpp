@@ -67,9 +67,10 @@ bool model_satisfies(const solver& s, const cnf& f) {
   return true;
 }
 
-cnf random_cnf(rng& r, int num_vars) {
-  cnf f;
-  f.new_vars(num_vars);
+/// Appends `num_vars` fresh variables to `f` and random 1–3-literal clauses
+/// over them.
+void add_random_clauses(cnf& f, rng& r, int num_vars) {
+  const var first = f.new_vars(num_vars);
   const int clauses =
       num_vars + static_cast<int>(
                      r.next_below(static_cast<std::uint64_t>(num_vars * 3)));
@@ -78,12 +79,25 @@ cnf random_cnf(rng& r, int num_vars) {
     const int len = 1 + static_cast<int>(r.next_below(3));
     for (int k = 0; k < len; ++k) {
       cl.push_back(lit::make(
-          static_cast<var>(r.next_below(static_cast<std::uint64_t>(num_vars))),
+          first + static_cast<var>(
+                      r.next_below(static_cast<std::uint64_t>(num_vars))),
           r.next_bool()));
     }
     f.add_clause(cl);
   }
+}
+
+cnf random_cnf(rng& r, int num_vars) {
+  cnf f;
+  add_random_clauses(f, r, num_vars);
   return f;
+}
+
+/// A random literal over any variable of `f`.
+lit random_lit(rng& r, const cnf& f) {
+  return lit::make(static_cast<var>(r.next_below(
+                       static_cast<std::uint64_t>(f.num_vars()))),
+                   r.next_bool());
 }
 
 solver_options inprocessing_options() {
@@ -292,30 +306,49 @@ TEST(Simplify, AssumptionUnsatKeepsSolverUsable) {
   EXPECT_TRUE(model_satisfies(s, f));
 }
 
+solver_options reference_options() {
+  solver_options o;
+  o.inprocess = false;
+  return o;
+}
+
+std::uint64_t rewrites(const solver_stats& st) {
+  return st.vivified + st.subsumed + st.strengthened;
+}
+
 TEST(Simplify, ClausesAddedBetweenSolvesStaySound) {
   rng r(909);
+  std::uint64_t rewritten = 0;
   for (int iter = 0; iter < 60; ++iter) {
-    const int nv = 5 + static_cast<int>(r.next_below(7));
-    const cnf base = random_cnf(r, nv);
+    // The pigeonhole refutation under `hard` runs past the preprocessing
+    // delay into the inprocessing rounds; the random clauses keep every
+    // iteration different.
+    guarded_instance in = guarded_pigeonhole_with_helper();
+    add_random_clauses(in.f, r, 5 + static_cast<int>(r.next_below(7)));
+    const cnf& base = in.f;
+    const std::vector<lit> hard = {lit::make(in.g), lit::make(in.h)};
     solver s(inprocessing_options());
+    solver reference(reference_options());
     s.add_cnf(base);
-    const solve_result first = s.solve();
-    ASSERT_EQ(first == solve_result::sat, brute_force_sat(base))
+    reference.add_cnf(base);
+    ASSERT_EQ(s.solve(hard), reference.solve(hard))
         << "iter " << iter;
+    const solve_result first = s.solve();
+    ASSERT_EQ(first, reference.solve()) << "iter " << iter;
+    rewritten += rewrites(s.stats());
     if (first != solve_result::sat) {
       continue;
     }
-    // A clause over any three variables, added after the first solve.
+    // A clause over any three variables, added after the first solves.
     cnf extended = base;
     std::vector<lit> extra;
     for (int k = 0; k < 3; ++k) {
-      extra.push_back(lit::make(
-          static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
-          r.next_bool()));
+      extra.push_back(random_lit(r, base));
     }
     extended.add_clause(extra);
     const bool added = s.add_clause(extra);
-    const bool expected = brute_force_sat(extended);
+    const bool expected = reference.add_clause(extra) &&
+                          reference.solve() == solve_result::sat;
     if (!added) {
       ASSERT_FALSE(expected) << "iter " << iter;
       continue;
@@ -324,28 +357,37 @@ TEST(Simplify, ClausesAddedBetweenSolvesStaySound) {
     if (expected) {
       ASSERT_TRUE(model_satisfies(s, extended)) << "iter " << iter;
     }
+    ASSERT_EQ(s.solve(hard), reference.solve(hard))
+        << "iter " << iter;
   }
+  // The instances reached the inprocessing rounds.
+  EXPECT_GT(rewritten, 0u);
 }
 
 TEST(Simplify, RandomAssumptionSequencesStaySound) {
   rng r(31337);
+  std::uint64_t rewritten = 0;
   for (int iter = 0; iter < 120; ++iter) {
-    const int nv = 5 + static_cast<int>(r.next_below(8));
-    const cnf f = random_cnf(r, nv);
+    guarded_instance in = guarded_pigeonhole_with_helper();
+    add_random_clauses(in.f, r, 5 + static_cast<int>(r.next_below(8)));
+    const cnf& f = in.f;
+    const std::vector<lit> hard = {lit::make(in.g), lit::make(in.h)};
     solver s(inprocessing_options());
+    solver reference(reference_options());
     s.add_cnf(f);
+    reference.add_cnf(f);
     for (int round = 0; round < 6; ++round) {
-      std::vector<lit> assumptions;
+      // Every other round also assumes the pigeonhole guards, so the
+      // search runs long enough to reach the inprocessing rounds.
+      std::vector<lit> assumptions =
+          round % 2 == 0 ? hard : std::vector<lit>{};
       const int count = static_cast<int>(r.next_below(4));
       for (int k = 0; k < count; ++k) {
-        assumptions.push_back(lit::make(
-            static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
-            r.next_bool()));
+        assumptions.push_back(random_lit(r, f));
       }
       const solve_result res = s.solve(assumptions);
-      const bool expected = brute_force_sat(f, assumptions);
-      ASSERT_EQ(res == solve_result::sat, expected)
-          << "iter " << iter << " round " << round;
+      const solve_result expected = reference.solve(assumptions);
+      ASSERT_EQ(res, expected) << "iter " << iter << " round " << round;
       if (res == solve_result::sat) {
         ASSERT_TRUE(model_satisfies(s, f));
         for (const lit a : assumptions) {
@@ -365,7 +407,10 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
         }
       }
     }
+    rewritten += rewrites(s.stats());
   }
+  // The instances reached the inprocessing rounds.
+  EXPECT_GT(rewritten, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,11 @@ listing every violation:
       a ':' on the same line. Blanket `NOLINT` with no check or no reason is
       a violation; suppressions must be auditable.
 
-Comment and string contents are stripped before R1/R3/R4 matching, so prose
+  R8  Inside src/ (src/exec/ exempt), an exec::thread_pool is constructed
+      only in src/synth/batch.cpp and src/synth/portfolio.cpp; every other
+      layer takes the caller's `janus_options::pool`.
+
+Comment and string contents are stripped before R1/R3/R4/R8 matching, so prose
 mentioning std::mutex does not trip the linter.
 
 Usage: python3 tools/check_lint.py [--root DIR] [--self-test]
@@ -85,6 +89,13 @@ BANNED_FLOAT_RE = re.compile(
 R4_FLOAT_WHITELIST = {"src/util/str.cpp"}
 
 R5_WHITELIST = {"bench/bench_sat.cpp", "bench/bench_table1.cpp"}
+
+# R8: a thread_pool object or make_unique/make_shared; not `thread_pool*`.
+POOL_CONSTRUCTION_RE = re.compile(
+    r"make_(?:unique|shared)<\s*(?:\w+::)*thread_pool\s*>"
+    r"|\bthread_pool\s*(?:\w+\s*)?[({]"
+)
+R8_WHITELIST = {"src/synth/batch.cpp", "src/synth/portfolio.cpp"}
 
 NOLINT_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?")
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([a-zA-Z0-9_.\-, ]+\)\s*:\s*\S")
@@ -233,6 +244,18 @@ def check_nolint(rel: str, text: str) -> list[str]:
     return errors
 
 
+def check_pool_owners(rel: str, text: str) -> list[str]:
+    if (not rel.startswith("src/") or rel.startswith("src/exec/")
+            or rel in R8_WHITELIST):
+        return []
+    errors = []
+    for line_no, line in enumerate(strip_comments_and_strings(text).splitlines(), 1):
+        if POOL_CONSTRUCTION_RE.search(line):
+            errors.append(f"{rel}:{line_no}: R8 thread_pool built outside "
+                          "batch/portfolio — take janus_options::pool")
+    return errors
+
+
 PER_FILE_CHECKS = [
     check_raw_locks,
     check_atomics,
@@ -240,6 +263,7 @@ PER_FILE_CHECKS = [
     check_banned_calls,
     check_bench_header,
     check_nolint,
+    check_pool_owners,
 ]
 
 
@@ -402,6 +426,20 @@ SELF_TEST_FIXTURES = [
         check_nolint,
         "src/fixture.cpp",
         "do_thing();  // NOLINT(bugprone-branch-clone): arms differ by docs\n",
+        False,
+    ),
+    (
+        "engine building its own pool",
+        check_pool_owners,
+        "src/synth/janus.cpp",
+        "owned = std::make_unique<exec::thread_pool>(jobs);\n",
+        True,
+    ),
+    (
+        "batch owns the pool it shards on",
+        check_pool_owners,
+        "src/synth/batch.cpp",
+        "pool = std::make_unique<exec::thread_pool>(jobs);\n",
         False,
     ),
 ]

@@ -55,6 +55,7 @@
 #include "bf/pla.hpp"
 #include "cache/solution_cache.hpp"
 #include "exec/cancellation.hpp"
+#include "exec/thread_pool.hpp"
 #include "service/signals.hpp"
 #include "synth/baselines.hpp"
 #include "synth/batch.hpp"
@@ -74,6 +75,10 @@ using janus::lm::target_spec;
 /// paths and the cli_cache_scope destructor can persist the solution store
 /// instead of losing the session's entries to an abrupt exit.
 janus::exec::cancel_source g_interrupt;
+
+/// The command's one pool for `-j N` > 1, built by main (batch builds its
+/// own) and handed to every engine through make_options().
+janus::exec::thread_pool* g_pool = nullptr;
 
 struct cli_config {
   double time_limit = 60.0;
@@ -112,20 +117,14 @@ int parse_vars(const std::string& text) {
   return num_vars;
 }
 
-janus::sat::solver_options make_solver_options(const cli_config& cfg) {
-  janus::sat::solver_options o = janus::lm::default_lm_solver_options();
-  o.inprocess = cfg.inprocess;
-  return o;
-}
-
 janus::synth::janus_options make_options(const cli_config& cfg) {
   janus::synth::janus_options o;
   o.time_limit_s = cfg.time_limit;
   o.lm.sat_time_limit_s = cfg.sat_limit;
-  o.lm.solver = make_solver_options(cfg);
-  o.jobs = cfg.jobs;
+  o.lm.solver.inprocess = cfg.inprocess;
   o.incremental = cfg.incremental;
-  o.exec.cancel = g_interrupt.token();
+  o.lm.cancel = g_interrupt.token();
+  o.pool = g_pool;
   return o;
 }
 
@@ -291,10 +290,8 @@ int run_synth_backends(const cli_config& cfg,
     o.backends = backend_selection(cfg);
     o.base = make_options(cfg);
     o.jobs = cfg.jobs;
-    janus::exec::context ctx;
-    ctx.cancel = g_interrupt.token();
     const auto p = janus::synth::run_portfolio(
-        target, o, janus::deadline::in_seconds(cfg.time_limit), ctx);
+        target, o, janus::deadline::in_seconds(cfg.time_limit));
     std::printf("%s:\n", target.name().c_str());
     print_portfolio_table(p);
     const auto* win = p.winning();
@@ -450,9 +447,7 @@ int cmd_map(const cli_config& cfg) {
   }
   const auto target = target_spec::parse(parse_vars(text), text, "f");
   janus::lm::lattice_info_cache cache;
-  janus::lm::lm_options o;
-  o.sat_time_limit_s = cfg.sat_limit;
-  o.solver = make_solver_options(cfg);
+  const janus::lm::lm_options o = make_options(cfg).lm;
   const auto r = janus::lm::solve_lm(
       target, cache.get({rows, cols}), o,
       janus::deadline::in_seconds(cfg.time_limit));
@@ -515,10 +510,8 @@ int cmd_compare(const cli_config& cfg) {
     o.backends = backend_selection(cfg);
     o.base = make_options(cfg);
     o.race = false;  // the whole point: comparable, reproducible rows
-    janus::exec::context ctx;
-    ctx.cancel = g_interrupt.token();
     const auto p = janus::synth::run_portfolio(
-        target, o, janus::deadline::in_seconds(cfg.time_limit), ctx);
+        target, o, janus::deadline::in_seconds(cfg.time_limit));
     std::printf("%s (%d vars):\n", target.name().c_str(), target.num_vars());
     print_portfolio_table(p);
     if (p.winner >= 0) {
@@ -642,6 +635,12 @@ int main(int argc, char** argv) {
     } else {
       cfg.positional.push_back(arg);
     }
+  }
+  std::unique_ptr<janus::exec::thread_pool> pool;
+  if (cfg.jobs > 1 && command != "batch") {
+    pool = std::make_unique<janus::exec::thread_pool>(
+        static_cast<std::size_t>(cfg.jobs));
+    g_pool = pool.get();
   }
   // First Ctrl-C cancels the in-flight synthesis cooperatively (the command
   // unwinds and cli_cache_scope persists the store); SA_RESETHAND means a
